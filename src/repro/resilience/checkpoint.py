@@ -59,10 +59,13 @@ CHECKPOINT_KIND = "repro-anneal-checkpoint"
 
 #: Config fields that do not affect the annealing trajectory: the
 #: resilience knobs themselves (a resumed run may use different budgets
-#: or checkpoint cadence) and the instrumentation flags (profiling,
-#: tracing, sanitizing, and snapshotting are all proven bit-identical).
+#: or checkpoint cadence), the instrumentation flags (profiling,
+#: tracing, sanitizing, and snapshotting are all proven bit-identical)
+#: and the move-core and repair-path switches (both proven bit-identical
+#: to their oracles).
 NON_IDENTITY_FIELDS = (
     "array_core",
+    "fast_path",
     "checkpoint_path",
     "checkpoint_every",
     "max_seconds",

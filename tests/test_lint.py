@@ -886,9 +886,9 @@ class TestTransitiveNondeterminism:
             encoding="utf-8"
         )
         bad = "import random\n" + source.replace(
-            "ok = route_net_global(state, net_index)",
+            "ok = route_net_global(state, net_index, columns)",
             "random.random()\n"
-            "            ok = route_net_global(state, net_index)",
+            "            ok = route_net_global(state, net_index, columns)",
             1,
         )
         result = run_deep(

@@ -245,6 +245,24 @@ class TestResumeDeterminism:
         assert comparable_metrics(resumed) == ref_metrics
         assert layout_digest(resumed) == ref_digest
 
+    def test_exhaustive_path_checkpoint_resumes_on_fast_path(self, tmp_path):
+        # fast_path only picks the repair path, and both paths are
+        # bit-identical, so it must not be part of checkpoint identity.
+        _, reference = run_anneal(micro_config())
+        path = tmp_path / "ck.ckpt"
+        _, partial = run_anneal(micro_config(
+            fast_path=False, checkpoint_path=str(path), checkpoint_every=1,
+            max_stages=3,
+        ))
+        assert partial.interrupted == "stage budget (3)"
+        netlist, arch = make_design()
+        resumed = SimultaneousAnnealer.resume(
+            netlist, arch, path, config=micro_config(fast_path=True)
+        ).run()
+        assert resumed.terms == reference.terms
+        assert comparable_metrics(resumed) == comparable_metrics(reference)
+        assert layout_digest(resumed) == layout_digest(reference)
+
     def test_checkpointing_is_invisible_to_plain_runs(self, tmp_path):
         _, plain = run_anneal(micro_config())
         path = tmp_path / "ck.ckpt"
