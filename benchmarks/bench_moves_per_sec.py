@@ -59,10 +59,7 @@ than a real run pays; ``--max-heartbeat-overhead`` (default 5%) bounds
 the slowdown and the beating anneal must stay bit-identical.
 ``--no-heartbeat`` skips it.
 
-``--core legacy`` runs the whole benchmark on the object-graph fallback
-paths (``AnnealerConfig(array_core=False)``); CI uses it as a parity
-smoke so the fallback stays green and comparable.  ``--profile``
-additionally emits a per-phase timing breakdown (ripup / repair /
+``--profile`` emits a per-phase timing breakdown (ripup / repair /
 timing / cost / rollback / other) into each design record so perf work
 can attribute wins.
 
@@ -104,7 +101,7 @@ def _schedule(max_temperatures: int) -> ScheduleConfig:
 def _config(
     case: BenchCase, profile: bool, trace: bool = False,
     snapshot_every: int = 0, checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0, array_core: bool = True,
+    checkpoint_every: int = 0,
     heartbeat_path: Optional[str] = None,
     heartbeat_min_interval_s: float = 2.0,
 ) -> AnnealerConfig:
@@ -118,7 +115,6 @@ def _config(
         snapshot_every=snapshot_every,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        array_core=array_core,
         heartbeat_path=heartbeat_path,
         heartbeat_min_interval_s=heartbeat_min_interval_s,
         schedule=_schedule(case.max_temperatures),
@@ -197,7 +193,7 @@ def run_case(
     case: BenchCase, calibration_s: float, profile: bool,
     trace: bool = False, snapshot_every: int = 0,
     checkpoint_path: Optional[str] = None, checkpoint_every: int = 0,
-    array_core: bool = True, ledger_path: Optional[str] = None,
+    ledger_path: Optional[str] = None,
     heartbeat_path: Optional[str] = None,
     heartbeat_min_interval_s: float = 2.0,
 ) -> dict:
@@ -213,7 +209,7 @@ def run_case(
     annealer = SimultaneousAnnealer(
         netlist, arch,
         _config(case, profile, trace, snapshot_every,
-                checkpoint_path, checkpoint_every, array_core,
+                checkpoint_path, checkpoint_every,
                 heartbeat_path, heartbeat_min_interval_s),
     )
     t0 = perf_counter()
@@ -225,7 +221,6 @@ def run_case(
             flow="bench", design=case.name, seed=annealer.config.seed,
             worst_delay_ns=result.worst_delay,
             fully_routed=result.fully_routed,
-            core="array" if array_core else "legacy",
             moves_attempted=result.moves_attempted,
             moves_accepted=result.moves_accepted,
         ))
@@ -234,7 +229,6 @@ def run_case(
     record = {
         "num_cells": netlist.num_cells,
         "num_nets": netlist.num_nets,
-        "core": "array" if array_core else "legacy",
         "moves_attempted": result.moves_attempted,
         "moves_accepted": result.moves_accepted,
         "wall_time_s": round(wall, 4),
@@ -261,7 +255,6 @@ _DETERMINISM_KEYS = (
 
 def measure_trace_overhead(
     case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-    array_core: bool = True,
 ) -> dict:
     """Re-run one case with tracing on and compare against ``baseline``.
 
@@ -279,12 +272,10 @@ def measure_trace_overhead(
     best_base = baseline
     best_traced: Optional[dict] = None
     for _ in range(reps):
-        again = run_case(case, calibration_s, profile=False,
-                         array_core=array_core)
+        again = run_case(case, calibration_s, profile=False)
         if again["normalized_score"] > best_base["normalized_score"]:
             best_base = again
-        traced = run_case(case, calibration_s, profile=False, trace=True,
-                          array_core=array_core)
+        traced = run_case(case, calibration_s, profile=False, trace=True)
         if (best_traced is None
                 or traced["normalized_score"] > best_traced["normalized_score"]):
             best_traced = traced
@@ -304,7 +295,7 @@ def measure_trace_overhead(
 
 def measure_snapshot_overhead(
     case: BenchCase, calibration_s: float, baseline: dict,
-    every: int = 5, reps: int = 3, array_core: bool = True,
+    every: int = 5, reps: int = 3,
 ) -> dict:
     """Re-run one case traced + snapshotting and compare to plain tracing.
 
@@ -318,14 +309,13 @@ def measure_snapshot_overhead(
     best_traced: Optional[dict] = None
     best_snap: Optional[dict] = None
     for _ in range(reps):
-        traced = run_case(case, calibration_s, profile=False, trace=True,
-                          array_core=array_core)
+        traced = run_case(case, calibration_s, profile=False, trace=True)
         if (best_traced is None
                 or traced["normalized_score"] > best_traced["normalized_score"]):
             best_traced = traced
         snapped = run_case(
             case, calibration_s, profile=False, trace=True,
-            snapshot_every=every, array_core=array_core,
+            snapshot_every=every,
         )
         if (best_snap is None
                 or snapped["normalized_score"] > best_snap["normalized_score"]):
@@ -347,7 +337,7 @@ def measure_snapshot_overhead(
 
 def measure_checkpoint_overhead(
     case: BenchCase, calibration_s: float, baseline: dict,
-    every: int = 5, reps: int = 3, array_core: bool = True,
+    every: int = 5, reps: int = 3,
 ) -> dict:
     """Re-run one case with periodic checkpointing and compare to plain.
 
@@ -365,14 +355,12 @@ def measure_checkpoint_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as tmp:
         path = str(Path(tmp) / f"{case.name}.ckpt")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False,
-                             array_core=array_core)
+            again = run_case(case, calibration_s, profile=False)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
             checked = run_case(
                 case, calibration_s, profile=False,
                 checkpoint_path=path, checkpoint_every=every,
-                array_core=array_core,
             )
             if (best_ck is None
                     or checked["normalized_score"] > best_ck["normalized_score"]):
@@ -393,7 +381,6 @@ def measure_checkpoint_overhead(
 
 def measure_ledger_overhead(
     case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-    array_core: bool = True,
 ) -> dict:
     """Re-run one case with ledger recording and compare to plain.
 
@@ -411,12 +398,11 @@ def measure_ledger_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-ledger-") as tmp:
         path = str(Path(tmp) / "ledger.jsonl")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False,
-                             array_core=array_core)
+            again = run_case(case, calibration_s, profile=False)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
             recorded = run_case(case, calibration_s, profile=False,
-                                array_core=array_core, ledger_path=path)
+                                ledger_path=path)
             if (best_led is None
                     or recorded["normalized_score"] > best_led["normalized_score"]):
                 best_led = recorded
@@ -435,7 +421,7 @@ def measure_ledger_overhead(
 
 def measure_heartbeat_overhead(
     case: BenchCase, calibration_s: float, baseline: dict, reps: int = 3,
-    array_core: bool = True, min_interval_s: float = 0.1,
+    min_interval_s: float = 0.1,
 ) -> dict:
     """Re-run one case with the heartbeat sidecar on and compare to plain.
 
@@ -455,13 +441,11 @@ def measure_heartbeat_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-hb-") as tmp:
         path = str(Path(tmp) / f"{case.name}.hb")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False,
-                             array_core=array_core)
+            again = run_case(case, calibration_s, profile=False)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
             beating = run_case(
-                case, calibration_s, profile=False, array_core=array_core,
-                heartbeat_path=path,
+                case, calibration_s, profile=False, heartbeat_path=path,
                 heartbeat_min_interval_s=min_interval_s,
             )
             if (best_hb is None
@@ -482,7 +466,7 @@ def measure_heartbeat_overhead(
 
 
 def case_ledger_record(
-    case: BenchCase, record: dict, array_core: bool, tag: str = "",
+    case: BenchCase, record: dict, tag: str = "",
 ) -> dict:
     """One run-ledger record summarizing a finished bench case.
 
@@ -493,7 +477,7 @@ def case_ledger_record(
     from repro.obs.ledger import FAMILY_EXCLUDE, make_record
     from repro.obs.tracer import config_digest
 
-    config = _config(case, profile=False, array_core=array_core)
+    config = _config(case, profile=False)
     overheads = {
         kind: record[kind]
         for kind in ("tracing", "snapshotting", "checkpointing", "ledger",
@@ -504,7 +488,6 @@ def case_ledger_record(
         flow="bench", design=case.name, seed=config.seed,
         config_digest=config_digest(config),
         family_digest=config_digest(config, exclude=FAMILY_EXCLUDE),
-        core=record["core"],
         netlist={"cells": record["num_cells"], "nets": record["num_nets"]},
         worst_delay_ns=record["worst_delay_ns"],
         fully_routed=record["fully_routed"],
@@ -561,11 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--profile", action="store_true",
         help="attach per-phase profiles and timing breakdowns to the "
         "JSON records",
-    )
-    parser.add_argument(
-        "--core", choices=("array", "legacy"), default="array",
-        help="move-core implementation to benchmark (default array; "
-        "legacy exercises the object-graph fallback for parity smoke)",
     )
     parser.add_argument(
         "--output", default="BENCH_moves.json",
@@ -652,19 +630,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = args.designs or (
         ["smoke"] if args.smoke else ["small", "medium", "large"]
     )
-    array_core = args.core == "array"
     calibration_s = calibrate()
     report = {
         "schema": "bench-moves/1",
-        "core": args.core,
         "calibration_s": round(calibration_s, 5),
         "designs": {},
     }
     ok = True
     for name in names:
         case = CASES[name]
-        record = run_case(case, calibration_s, args.profile,
-                          array_core=array_core)
+        record = run_case(case, calibration_s, args.profile)
         # Host jitter is roughly constant in absolute terms (~0.1 s a
         # run), so the overhead gates on short anneals are noise-
         # dominated: give them extra best-of pairs.  Long cases are
@@ -683,7 +658,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.no_trace:
             tracing = measure_trace_overhead(
                 case, calibration_s, record, reps=overhead_reps,
-                array_core=array_core,
             )
             record["tracing"] = tracing
             print(
@@ -708,7 +682,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.no_trace and not args.no_snapshot:
             snapshotting = measure_snapshot_overhead(
                 case, calibration_s, record, every=args.snapshot_every,
-                reps=overhead_reps, array_core=array_core,
+                reps=overhead_reps,
             )
             record["snapshotting"] = snapshotting
             print(
@@ -734,7 +708,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.no_checkpoint:
             checkpointing = measure_checkpoint_overhead(
                 case, calibration_s, record, every=args.checkpoint_every,
-                reps=overhead_reps, array_core=array_core,
+                reps=overhead_reps,
             )
             record["checkpointing"] = checkpointing
             print(
@@ -760,7 +734,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.no_ledger_overhead:
             ledgering = measure_ledger_overhead(
                 case, calibration_s, record, reps=overhead_reps,
-                array_core=array_core,
             )
             record["ledger"] = ledgering
             print(
@@ -786,7 +759,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.no_heartbeat:
             heartbeat = measure_heartbeat_overhead(
                 case, calibration_s, record, reps=overhead_reps,
-                array_core=array_core,
                 min_interval_s=args.heartbeat_interval,
             )
             record["heartbeat"] = heartbeat
@@ -814,7 +786,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from repro.obs.ledger import append_record
 
             append_record(args.ledger, case_ledger_record(
-                case, record, array_core, tag=args.ledger_tag,
+                case, record, tag=args.ledger_tag,
             ))
             print(f"{name}: ledger record -> {args.ledger}")
 

@@ -70,15 +70,9 @@ class AnnealerConfig:
     profile: bool = False
     #: Repair fast path (dirty-channel iteration + negative-result
     #: caches + zero-net-move short circuit).  Bit-identical results
-    #: either way; off exists for the golden determinism test and A/B
-    #: benchmarking.
+    #: either way; off is the exhaustive repair path, kept only as the
+    #: oracle the determinism tests check every exact shortcut against.
     fast_path: bool = True
-    #: Flat-array move core (see :mod:`repro.core.arraystate`): journal
-    #: phantom-restore keyed on per-net route versions, geometry restore
-    #: by assignment, and delay-cache reuse across moves.  Results are
-    #: bit-identical with the flag off (the legacy object-graph core);
-    #: legacy exists for the parity smoke test and A/B benchmarking.
-    array_core: bool = True
     #: Runtime sanitizer: after every move transaction, cross-check
     #: rollback completeness, negative-cache coherence, and the full
     #: invariant audit (see :mod:`repro.lint.runtime`).  Slow but
@@ -287,10 +281,6 @@ class SimultaneousAnnealer:
         router.route_all_from_scratch()
         timing = IncrementalTiming(state, self.technology)
         timing.metrics = metrics
-        if self.config.array_core:
-            from .arraystate import ArrayState
-
-            ArrayState.attach(state, timing)
         self.ctx = LayoutContext(placement, state, router, timing,
                                  profiler=self.profiler, metrics=metrics)
         self.weights = CostWeights(
@@ -434,10 +424,9 @@ class SimultaneousAnnealer:
                       "T": terms.worst_delay},
             "layout": layout_to_dict(self.ctx.placement, self.ctx.state),
             "timing": self.ctx.timing.export_state(),
-            # Flat-array core side-state (schema-compatible addition:
-            # validate_payload tolerates unknown sections, so pre-array
-            # checkpoints restore fine without it and array checkpoints
-            # restore fine on legacy-core runs, which ignore it).
+            # Route and delay-cache version counters (schema-compatible
+            # addition: checkpoints written before the section existed
+            # restore fine without it, see _restore).
             "arrays": {
                 "route_version": list(self.ctx.state.route_version),
                 "delay_cache_version": list(self.ctx.timing._cache_version),

@@ -1,4 +1,4 @@
-"""Flat-array core state: the bundle behind ``AnnealerConfig(array_core=True)``.
+"""Flat-array core state and its coherence probes.
 
 The move loop's hot state lives in flat arrays rather than object-graph
 walks:
@@ -20,12 +20,12 @@ walks:
 Those arrays are not mirrors to keep in sync — they *are* the hot-path
 state, maintained by the same mutation points as the object books
 (``Channel.claim/release/reclaim``, the ``RoutingState`` commit/rip-up
-methods).  :class:`ArrayState` is the per-run bundle that (a) flips the
-gated fast paths on by installing itself as ``state.arrays`` and setting
-``timing.reuse_cache``, and (b) carries the cross-validation probes the
-``array-coherence`` sanitizer rule runs: array occupancy vs owner arrays
-vs per-net claims, and version-valid delay-cache entries vs a bit-exact
-recompute.
+methods).  :class:`ArrayState` is a read-only view over one routing
+state and its timing analyzer that carries the cross-validation probes
+the ``array-coherence`` sanitizer rule runs: array occupancy vs owner
+arrays vs per-net claims, and version-valid delay-cache entries vs a
+bit-exact recompute.  Building one is O(1); the sanitizer and
+:func:`repro.lint.runtime.check_all` make one per check.
 
 numpy policy: auto-detected (:data:`HAVE_NUMPY`) and used only for
 exact integer bulk work in audits — never in float kernels, whose
@@ -62,50 +62,17 @@ def _expected_occ_masks(channel) -> list[int]:
 
 
 class ArrayState:
-    """Per-run flat-array bundle: index maps, live array views, probes.
-
-    Constructed once per annealer run (:func:`attach`); the index maps
-    are stable for the run because the netlist is frozen and the fabric
-    geometry never changes after construction.
-    """
+    """Read-only view of one routing state's flat arrays, with probes."""
 
     def __init__(
         self, state: "RoutingState", timing: Optional["IncrementalTiming"]
     ) -> None:
         self.state = state
         self.timing = timing
-        fabric = state.fabric
-        # Stable index maps, built once: routing state is keyed by
-        # integer indices everywhere in the hot loop; the name maps
-        # exist for probes and reports that start from netlist names.
-        self.cell_index = {
-            cell.name: cell.index for cell in state.netlist.cells
-        }
-        self.net_index = {net.name: net.index for net in state.netlist.nets}
         self.num_nets = state.netlist.num_nets
-        self.num_channels = fabric.num_channels
-        self.num_vcolumns = len(fabric.vcolumns)
-        # Live views of the flat hot-path arrays (shared objects, not
-        # copies): per-net route versions, per-track occupancy bitmask
-        # lists per channel plane.
+        self.num_channels = state.fabric.num_channels
+        self.num_vcolumns = len(state.fabric.vcolumns)
         self.route_version = state.route_version
-        self.channel_occ = [channel._occ for channel in fabric.channels]
-        self.vcolumn_occ = [vc._channel._occ for vc in fabric.vcolumns]
-
-    @classmethod
-    def attach(
-        cls, state: "RoutingState", timing: Optional["IncrementalTiming"]
-    ) -> "ArrayState":
-        """Build the bundle and switch the gated fast paths on.
-
-        Mutates: ``state.arrays`` (journal phantom-restore keys on it)
-        and ``timing.reuse_cache`` (delay-cache version reuse).
-        """
-        arrays = cls(state, timing)
-        state.arrays = arrays
-        if timing is not None:
-            timing.reuse_cache = True
-        return arrays
 
     # ------------------------------------------------------------------
     # Coherence probes (the sanitizer's array-coherence rule)
@@ -174,8 +141,9 @@ class ArrayState:
         """Cross-validate one net's version-valid delay-cache entry.
 
         A cache entry whose version matches the net's route version is
-        the one the reuse fast path would trust without recomputing;
-        this probe recomputes it and demands bit-exact agreement.
+        the one :meth:`IncrementalTiming.update_nets` trusts without
+        recomputing; this probe recomputes it and demands bit-exact
+        agreement.
         """
         timing = self.timing
         if timing is None:

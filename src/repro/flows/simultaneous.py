@@ -57,8 +57,8 @@ def run_simultaneous(
     result = annealer.run()
     report = analyze(result.state, architecture.technology)
     # Run-identity digests for the ledger (repro.obs.ledger): the full
-    # config digest, the seed-independent family digest, and which move
-    # core executed — all derived from the annealer's resolved config.
+    # config digest and the seed-independent family digest, both
+    # derived from the annealer's resolved config.
     from ..obs.ledger import FAMILY_EXCLUDE
     from ..obs.tracer import config_digest
 
@@ -83,7 +83,6 @@ def run_simultaneous(
             "seed": resolved.seed,
             "config_digest": config_digest(resolved),
             "family_digest": config_digest(resolved, exclude=FAMILY_EXCLUDE),
-            "core": "array" if resolved.array_core else "legacy",
             "netlist": {"name": netlist.name, **netlist.stats()},
         },
     )

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep", action="store_true",
         help="run the whole-program analysis: call graph, transitive "
         "effects, and the deep rules (transitive-nondeterminism, "
-        "unjournaled-mutation, core-parity-drift, effect-docstring-sync)",
+        "unjournaled-mutation, effect-docstring-sync)",
     )
     parser.add_argument(
         "--baseline", metavar="FILE",

@@ -1,6 +1,6 @@
 """Deep (whole-program) lint rules, baseline ratchet, and renderers.
 
-The four rules here consume :class:`repro.lint.callgraph.Program` and
+The three rules here consume :class:`repro.lint.callgraph.Program` and
 :class:`repro.lint.effects.EffectAnalysis` rather than a single module
 AST — they answer questions no per-file rule can:
 
@@ -19,14 +19,6 @@ AST — they answer questions no per-file rule can:
     modules, and the named restore APIs).  This is the desync bug class
     the runtime sanitizer only catches dynamically, per move, with a
     failing seed in hand; here it is caught at review time.
-
-``core-parity-drift``
-    A function dispatches on the array-core flag surface
-    (``array_core`` / ``arrays`` / ``reuse_cache``) and the two
-    branches have *different* inferred effect sets.  The PR-6 parity
-    contract says the flat-array core must be observationally identical
-    to the legacy object-graph core; diverging branch effects are the
-    static smell that precedes a parity break.
 
 ``effect-docstring-sync``
     The deep upgrade of ``undocumented-mutation``: instead of verb
@@ -51,7 +43,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .callgraph import Program
-from .effects import EffectAnalysis, format_effect
+from .effects import EffectAnalysis
 from .engine import Diagnostic, parse_suppressions
 
 #: Hot-loop roots for transitive-nondeterminism (resolved by suffix, so
@@ -71,9 +63,6 @@ DEFAULT_SANCTIONED_MODULES = (
 
 #: Qualname suffixes of individually sanctioned restore/install APIs.
 DEFAULT_SANCTIONED_FUNCTIONS = (
-    # The flat-array core's one-time installer; its Mutates: docstring
-    # declares both writes and the parity tests pin the result.
-    "ArrayState.attach",
     # Checkpoint-resume restore path: rehydrates route_version and the
     # timing cache versions wholesale from a validated payload.
     "SimultaneousAnnealer._restore",
@@ -215,47 +204,6 @@ def check_unjournaled_mutation(
 
 
 # ----------------------------------------------------------------------
-# core-parity-drift
-# ----------------------------------------------------------------------
-def check_core_parity_drift(
-    program: Program, analysis: EffectAnalysis
-) -> list:
-    """Array-core dispatch branches with diverging effect sets."""
-    findings = []
-    for fn_id in sorted(program.functions):
-        info = program.functions[fn_id]
-        for dispatch in info.dispatch_ifs:
-            array_effects = analysis.branch_effects(fn_id, dispatch.body_ids)
-            legacy_effects = analysis.branch_effects(fn_id, dispatch.else_ids)
-            if array_effects == legacy_effects:
-                continue
-            only_array = sorted(
-                format_effect(e) for e in array_effects - legacy_effects
-            )
-            only_legacy = sorted(
-                format_effect(e) for e in legacy_effects - array_effects
-            )
-            detail = []
-            if only_array:
-                detail.append(f"array-only: {{{', '.join(only_array)}}}")
-            if only_legacy:
-                detail.append(f"legacy-only: {{{', '.join(only_legacy)}}}")
-            findings.append(
-                Diagnostic(
-                    info.path, dispatch.lineno, dispatch.col,
-                    "core-parity-drift",
-                    f"dispatch on {dispatch.flag!r}: the two core branches "
-                    f"have diverging inferred effect sets "
-                    f"({'; '.join(detail)}); the PR-6 parity contract "
-                    f"requires the flat-array path to be observationally "
-                    f"identical to the legacy path",
-                    symbol=fn_id,
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # effect-docstring-sync
 # ----------------------------------------------------------------------
 _BACKTICKED = re.compile(r"``([A-Za-z_][A-Za-z0-9_]*)``")
@@ -386,9 +334,6 @@ DEEP_RULES = {
     "unjournaled-mutation": (
         "guarded-state field write outside the transaction/journal surface"
     ),
-    "core-parity-drift": (
-        "array-core dispatch branches with diverging inferred effects"
-    ),
     "effect-docstring-sync": (
         "'Mutates:' docstring declaration out of sync with inferred effects"
     ),
@@ -416,7 +361,6 @@ def run_deep(
         )
     )
     findings.extend(check_unjournaled_mutation(program, config))
-    findings.extend(check_core_parity_drift(program, analysis))
     findings.extend(
         check_effect_docstring_sync(program, analysis, config.sync_scope)
     )

@@ -1,8 +1,9 @@
 """Runtime counterpart of the static pass: one checker, one sanitizer.
 
-:func:`check_all` consolidates the three invariant checkers that grew
-up independently — ``RoutingState.check_consistency`` (bookkeeping),
-``route.verify.verify_layout`` (electrical), and
+:func:`check_all` consolidates the invariant checkers that grew up
+independently — ``RoutingState.check_consistency`` (bookkeeping),
+``route.verify.verify_layout`` (electrical),
+``ArrayState.check_all`` (flat-array coherence), and
 ``IncrementalTiming.audit`` (incremental-vs-fresh STA) — behind a
 single entry point that the annealer's ``audit()``, the sanitizer, and
 the tests all share.
@@ -43,7 +44,8 @@ def check_all(
     require_complete: bool = False,
 ) -> list[str]:
     """Every invariant problem across routing bookkeeping, electrical
-    structure, and (when ``timing`` is given) incremental timing.
+    structure, flat-array coherence, and (when ``timing`` is given)
+    incremental timing.
 
     Empty list = clean.  ``require_complete`` additionally reports
     unrouted nets; intermediate annealer layouts are legally incomplete
@@ -53,9 +55,9 @@ def check_all(
     problems.extend(verify_layout(state, require_complete=require_complete))
     if timing is not None:
         problems.extend(timing.audit())
-    arrays = getattr(state, "arrays", None)
-    if arrays is not None:
-        problems.extend(arrays.check_all())
+    from ..core.arraystate import ArrayState
+
+    problems.extend(ArrayState(state, timing).check_all())
     return problems
 
 
@@ -149,7 +151,7 @@ class MoveSanitizer:
     def check_commit(self, ctx: Any, move: Any) -> None:
         """Cross-check invariants after an accepted move."""
         self._moves += 1
-        problems = self._cache_probe(ctx.state)
+        problems = self._cache_probe(ctx)
         if self._moves % self.check_every == 0:
             problems.extend(check_all(ctx.state, ctx.timing))
         if problems:
@@ -166,20 +168,23 @@ class MoveSanitizer:
             for name in before
             if before[name] != after[name]
         ]
-        problems.extend(self._cache_probe(ctx.state))
+        problems.extend(self._cache_probe(ctx))
         if problems:
             raise SanitizerError("rollback", move, problems)
 
     # -- sampled probes ------------------------------------------------
-    def _cache_probe(self, state: RoutingState) -> list[str]:
+    def _cache_probe(self, ctx: Any) -> list[str]:
         """One channel's detail cache + one net's global cache, round-robin,
-        plus (under the flat-array core) one array-coherence sample:
-        occupancy bitmasks vs owner arrays vs committed claims, and one
-        version-valid delay-cache entry vs a bit-exact recompute.
+        plus one array-coherence sample: occupancy bitmasks vs owner
+        arrays vs committed claims, and one version-valid delay-cache
+        entry vs a bit-exact recompute.
 
         Deterministic sampling (a move counter, never an RNG) keeps the
         sanitizer invisible to the annealer's random stream.
         """
+        from ..core.arraystate import ArrayState
+
+        state = ctx.state
         problems: list[str] = []
         num_channels = state.fabric.num_channels
         if num_channels:
@@ -189,7 +194,5 @@ class MoveSanitizer:
         num_nets = len(state.routes)
         if num_nets:
             problems.extend(state.audit_global_cache(self._moves % num_nets))
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            problems.extend(arrays.probe(self._moves))
+        problems.extend(ArrayState(state, ctx.timing).probe(self._moves))
         return problems

@@ -305,7 +305,6 @@ def _add_slice_filters(parser: argparse.ArgumentParser) -> None:
         "--family", default=None,
         help="seed-independent family digest (same experiment, any seed)",
     )
-    parser.add_argument("--core", default=None, help="array / legacy")
 
 
 def _sliced(args: argparse.Namespace, records: list) -> list:
@@ -313,7 +312,7 @@ def _sliced(args: argparse.Namespace, records: list) -> list:
 
     return select(
         records, design=args.design, seed=args.seed, flow=args.flow,
-        tag=args.tag, digest=args.digest, family=args.family, core=args.core,
+        tag=args.tag, digest=args.digest, family=args.family,
     )
 
 
@@ -466,7 +465,7 @@ def _runs_list(args: argparse.Namespace) -> int:
         terms = record.get("terms") or {}
         rows.append([
             index, record.get("flow"), record.get("design"),
-            record.get("seed"), record.get("core") or "-",
+            record.get("seed"),
             record.get("config_digest", "-")[:8],
             terms.get("G"), terms.get("D"),
             record.get("worst_delay_ns"),
@@ -475,7 +474,7 @@ def _runs_list(args: argparse.Namespace) -> int:
             record.get("tag") or "-",
         ])
     print(format_table(
-        ["#", "flow", "design", "seed", "core", "config", "G", "D",
+        ["#", "flow", "design", "seed", "config", "G", "D",
          "T (ns)", "routed", "moves/s", "tag"],
         rows, title=f"{args.ledger}: {len(indices)} records", decimals=4,
     ))
@@ -577,13 +576,13 @@ def _runs_regress(args: argparse.Namespace) -> int:
         baseline = select(
             baseline_records, design=args.design, seed=args.seed,
             flow=args.flow, tag=args.baseline_tag, digest=args.digest,
-            family=args.family, core=args.core,
+            family=args.family,
         )
     elif args.baseline is not None:
         baseline = select(
             baseline_records, design=args.design, seed=args.seed,
             flow=args.flow, tag=None, digest=args.digest,
-            family=args.family, core=args.core,
+            family=args.family,
         )
     else:
         print(

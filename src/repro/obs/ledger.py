@@ -12,10 +12,13 @@ two slices, and a self-contained HTML observatory
 Record identity
 ---------------
 ``record_digest`` is a sha256 over the record's *identity* fields —
-flow, design, netlist stats, seed, config digests, core, final cost
-terms, routedness, and move counts.  Wall-clock-derived telemetry
-(``wall_time_s``, ``moves_per_sec``, ``normalized_score``, overhead
-ratios, per-section profiles), artifact paths, and user tags are
+flow, design, netlist stats, seed, config digests, final cost terms,
+routedness, and move counts.  Records written before the move core
+was unified also carry a ``core`` field; they read, select, and
+regress like any other record, and their digests still cover it.
+Wall-clock-derived telemetry (``wall_time_s``, ``moves_per_sec``,
+``normalized_score``, overhead ratios, per-section profiles), artifact
+paths, and user tags are
 :data:`VOLATILE_FIELDS`, deliberately outside the digest: two runs of
 the same code with the same seed produce the *same* identity no matter
 how slow the host was.  Ledger recording happens strictly after the
@@ -68,12 +71,11 @@ VOLATILE_FIELDS = (
 #: Config fields excluded from ``family_digest`` (the seed-independent
 #: experiment identity): the seed itself, plus every knob proven not to
 #: affect results — instrumentation, budgets, checkpointing, and the
-#: bit-identical core/fast-path switches.  Mirrors the resilience
+#: bit-identical fast-path switch.  Mirrors the resilience
 #: layer's ``NON_IDENTITY_FIELDS`` reasoning (see
 #: :mod:`repro.resilience.checkpoint`) without importing it.
 FAMILY_EXCLUDE = (
     "seed",
-    "array_core",
     "fast_path",
     "profile",
     "trace",
@@ -133,7 +135,6 @@ def make_record(
     fully_routed: bool,
     config_digest: Optional[str] = None,
     family_digest: Optional[str] = None,
-    core: Optional[str] = None,
     netlist: Optional[dict] = None,
     terms: Optional[dict] = None,
     final_cost: Optional[float] = None,
@@ -165,7 +166,6 @@ def make_record(
     optional = (
         ("config_digest", config_digest),
         ("family_digest", family_digest),
-        ("core", core),
         ("netlist", netlist),
         ("terms", terms),
         ("final_cost", final_cost),
@@ -200,9 +200,9 @@ def record_from_result(
     ``result`` is duck-typed to :class:`repro.flows.common.FlowResult`
     (``flow``/``design``/``metrics()``/``extra``/``wall_time_s``) so
     this module stays importable without :mod:`repro.flows`.  The flows
-    stash ``seed``/``config_digest``/``family_digest``/``core`` in
-    ``extra``; ``config`` is the fallback source when they are absent
-    (e.g. a hand-rolled result).
+    stash ``seed``/``config_digest``/``family_digest`` in ``extra``;
+    ``config`` is the fallback source when they are absent (e.g. a
+    hand-rolled result).
     """
     extra = getattr(result, "extra", None) or {}
     metrics = result.metrics()
@@ -238,7 +238,6 @@ def record_from_result(
         seed=seed,
         config_digest=digest,
         family_digest=family,
-        core=extra.get("core"),
         netlist=netlist_stats,
         terms=terms,
         final_cost=final_cost,
@@ -334,7 +333,6 @@ def select(
     tag: Optional[str] = None,
     digest: Optional[str] = None,
     family: Optional[str] = None,
-    core: Optional[str] = None,
 ) -> list[dict]:
     """The records matching every given filter (None = don't care)."""
     out = []
@@ -350,8 +348,6 @@ def select(
         if digest is not None and record.get("config_digest") != digest:
             continue
         if family is not None and record.get("family_digest") != family:
-            continue
-        if core is not None and record.get("core") != core:
             continue
         out.append(record)
     return out

@@ -290,12 +290,9 @@ def _tile(value: str, key: str) -> str:
 
 def _run_label(record: dict, index: int) -> str:
     seed = record.get("seed")
-    core = record.get("core")
     bits = [f"run {index}", str(record.get("flow", "?"))]
     if seed is not None:
         bits.append(f"seed {seed}")
-    if core:
-        bits.append(core)
     if record.get("tag"):
         bits.append(record["tag"])
     return " · ".join(bits)
@@ -314,7 +311,7 @@ def _qor_table(
     records: list[dict], traces: dict[int, RunTrace]
 ) -> str:
     headers = (
-        "#", "flow", "design", "seed", "core", "config", "G", "D",
+        "#", "flow", "design", "seed", "config", "G", "D",
         "T (ns)", "routed", "moves", "moves/s", "score", "tag",
         "acceptance", "artifacts",
     )
@@ -344,7 +341,6 @@ def _qor_table(
         cells = [
             str(index), _esc(record.get("flow", "?")),
             _esc(record.get("design", "?")), _fmt(record.get("seed")),
-            _esc(record.get("core") or "–"),
             f"<code>{_esc(record.get('config_digest', '–'))}</code>",
             _fmt(terms.get("G")), _fmt(terms.get("D")),
             _fmt(record.get("worst_delay_ns")), routed_cell, moves,

@@ -61,10 +61,8 @@ CHECKPOINT_KIND = "repro-anneal-checkpoint"
 #: resilience knobs themselves (a resumed run may use different budgets
 #: or checkpoint cadence), the instrumentation flags (profiling,
 #: tracing, sanitizing, and snapshotting are all proven bit-identical)
-#: and the move-core and repair-path switches (both proven bit-identical
-#: to their oracles).
+#: and the repair-path switch (proven bit-identical to its oracle).
 NON_IDENTITY_FIELDS = (
-    "array_core",
     "fast_path",
     "checkpoint_path",
     "checkpoint_every",
@@ -81,6 +79,12 @@ NON_IDENTITY_FIELDS = (
     "sanitize_every",
     "snapshot_every",
 )
+
+#: Config fields older checkpoints carry that ``AnnealerConfig`` no
+#: longer has.  Each was outside checkpoint identity, so dropping it
+#: cannot change the resumed trajectory.  The move-core switch went
+#: when the object-graph core was removed.
+RETIRED_CONFIG_FIELDS = ("array_core",)
 
 #: Annealer phases a checkpoint may record.
 PHASES = ("anneal", "greedy", "done")
@@ -410,7 +414,9 @@ def config_from_payload(payload: dict):
 
     Convenience for ``SimultaneousAnnealer.resume(...)`` so callers can
     resume from a path alone; unknown fields (from a future config) are
-    rejected by the dataclass constructor.
+    rejected by the dataclass constructor.  Retired fields
+    (:data:`RETIRED_CONFIG_FIELDS`) are dropped, so checkpoints written
+    before their removal still resume.
     """
     from ..core.annealer import AnnealerConfig
     from ..core.schedule import ScheduleConfig
@@ -419,6 +425,8 @@ def config_from_payload(payload: dict):
     if not isinstance(record, dict):
         raise CheckpointError("checkpoint carries no config record")
     record = dict(record)
+    for name in RETIRED_CONFIG_FIELDS:
+        record.pop(name, None)
     schedule = record.pop("schedule", None)
     try:
         if isinstance(schedule, dict):

@@ -100,37 +100,31 @@ class NetJournal:
         snapshots.  The two-phase order is what makes segment exchange
         between nets safe to undo.
 
-        Under the flat-array core (``state.arrays`` set), a journaled
-        net whose route version is unchanged since snapshot — typically
-        a neighbour that repair considered but never re-routed — is
-        provably already in its snapshot state, so the rip-up/re-commit
-        round trip collapses to :meth:`RoutingState.log_phantom_releases`,
-        which reproduces the round trip's only lasting side effects
-        (release-log entries and fail-cache clears) without touching
-        occupancy.  Changed nets restore geometry by assignment from
-        the snapshot instead of recomputing pin positions.  Both
-        shortcuts leave the routing state, release logs, and caches
-        bit-identical to the legacy path.
+        A journaled net whose route version is unchanged since snapshot
+        — typically a neighbour that repair considered but never
+        re-routed — is provably already in its snapshot state, so the
+        rip-up/re-commit round trip collapses to
+        :meth:`RoutingState.log_phantom_releases`, which reproduces the
+        round trip's only lasting side effects (release-log entries and
+        fail-cache clears) without touching occupancy.  Changed nets
+        restore geometry by assignment from the snapshot instead of
+        recomputing pin positions.
         """
         state = self._state
-        fast = state.arrays is not None
         versions = state.route_version
         changed: list[int] = []
         for net_index in sorted(self._snapshots):
-            if fast and versions[net_index] == self._snapshots[net_index].version:
+            if versions[net_index] == self._snapshots[net_index].version:
                 state.log_phantom_releases(net_index)
                 continue
             state.rip_up(net_index)
             changed.append(net_index)
         for net_index in changed:
             snap = self._snapshots[net_index]
-            if fast:
-                state.adopt_geometry(
-                    net_index, snap.pin_channels, snap.cmin, snap.cmax,
-                    snap.xmin, snap.xmax,
-                )
-            else:
-                state.refresh_geometry(net_index)
+            state.adopt_geometry(
+                net_index, snap.pin_channels, snap.cmin, snap.cmax,
+                snap.xmin, snap.xmax,
+            )
             if snap.vertical is not None:
                 state.fabric.vcolumns[snap.vertical.column].reclaim(
                     net_index, snap.vertical

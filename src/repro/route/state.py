@@ -180,10 +180,6 @@ class RoutingState:
         #: is ≥ 1 after construction (the initial geometry pass bumps
         #: every net), so 0 doubles as a "never valid" sentinel.
         self.route_version = array("Q", bytes(8 * len(self.routes)))
-        #: Flat-array mirror bundle (:class:`repro.core.arraystate.ArrayState`)
-        #: when the annealer runs with ``array_core=True``; None under
-        #: the legacy object-graph core.
-        self.arrays = None
         for net in self.netlist.nets:
             self.refresh_geometry(net.index)
 

@@ -75,17 +75,10 @@ class IncrementalTiming:
         self.levels = levelize(self.netlist)
         self._positions = sink_positions(state)
         self._delay_cache: list[Optional[list[float]]] = [None] * self.netlist.num_nets
-        #: When True (the flat-array core), :meth:`update_nets` skips
-        #: invalidating a touched net whose cached sink delays are
-        #: provably current — the net's route version is unchanged since
-        #: the cache entry was filled.  Sink delays are a pure function
-        #: of the net's own route record, and the sub-EPSILON
-        #: propagation guard means a recompute of an unchanged net never
-        #: records a delta, so values, deltas, and metrics stay
-        #: bit-identical with the flag off.
-        self.reuse_cache = False
         #: Route version (see ``RoutingState.route_version``) each cache
         #: entry was computed at; 0 = never (versions start at 1).
+        #: :meth:`update_nets` skips a touched net whose entry is still
+        #: at the net's current version.
         self._cache_version = array("Q", bytes(8 * self.netlist.num_nets))
         self.arrival: list[float] = [0.0] * self.netlist.num_cells
         self.boundary_in: dict[int, float] = {}
@@ -299,8 +292,8 @@ class IncrementalTiming:
         *deferred*: a considered boundary cell is collected in a set and
         evaluated once after the frontier drains, instead of on every
         consider.  That yields bit-identical values — each driver change
-        re-considers the boundary cell, so the legacy path's last
-        (surviving) evaluation already saw every driver's settled
+        re-considers the boundary cell, so the last (surviving) eager
+        evaluation would already have seen every driver's settled
         arrival, which is exactly what the deferred evaluation sees —
         while skipping the intermediate evaluations nothing observes.
         """
@@ -317,39 +310,28 @@ class IncrementalTiming:
         cache = self._delay_cache
         save_cache = delta.save_cache
 
-        if self.reuse_cache:
-            cache_version = self._cache_version
-            route_version = self.state.route_version
-            for net_index in net_indices:
-                # A touched net whose cache entry was computed at the
-                # net's current route version is provably unchanged:
-                # recomputing would reproduce the entry bit-for-bit and
-                # propagate nothing (sub-EPSILON guard), so skip it.
-                if (
-                    cache[net_index] is not None
-                    and cache_version[net_index] == route_version[net_index]
-                ):
-                    continue
-                save_cache(net_index, cache[net_index])
-                cache[net_index] = None
-                for sink_cell in net_sink_cells[net_index]:
-                    if is_boundary[sink_cell]:
-                        if boundary_has_inputs[sink_cell]:
-                            boundary_pending.add(sink_cell)
-                    elif sink_cell not in queued:
-                        queued.add(sink_cell)
-                        push(frontier, (levels[sink_cell], sink_cell))
-        else:
-            for net_index in net_indices:
-                save_cache(net_index, cache[net_index])
-                cache[net_index] = None
-                for sink_cell in net_sink_cells[net_index]:
-                    if is_boundary[sink_cell]:
-                        if boundary_has_inputs[sink_cell]:
-                            boundary_pending.add(sink_cell)
-                    elif sink_cell not in queued:
-                        queued.add(sink_cell)
-                        push(frontier, (levels[sink_cell], sink_cell))
+        cache_version = self._cache_version
+        route_version = self.state.route_version
+        for net_index in net_indices:
+            # A touched net whose cache entry was computed at the net's
+            # current route version is provably unchanged: sink delays
+            # are a pure function of the net's own route record, so a
+            # recompute would reproduce the entry bit-for-bit and
+            # propagate nothing (sub-EPSILON guard).  Skip it.
+            if (
+                cache[net_index] is not None
+                and cache_version[net_index] == route_version[net_index]
+            ):
+                continue
+            save_cache(net_index, cache[net_index])
+            cache[net_index] = None
+            for sink_cell in net_sink_cells[net_index]:
+                if is_boundary[sink_cell]:
+                    if boundary_has_inputs[sink_cell]:
+                        boundary_pending.add(sink_cell)
+                elif sink_cell not in queued:
+                    queued.add(sink_cell)
+                    push(frontier, (levels[sink_cell], sink_cell))
 
         pop = heapq.heappop
         arrival = self.arrival
@@ -408,7 +390,7 @@ class IncrementalTiming:
         cache entries — captured before the move — are valid for the
         (bit-exactly restored) pre-move routes; stamping them with the
         nets' current (final post-rollback) route versions re-arms the
-        reuse fast path.
+        version-keyed reuse in :meth:`update_nets`.
         """
         for cell_index, value in delta.arrival.items():
             self.arrival[cell_index] = value

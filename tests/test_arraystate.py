@@ -1,35 +1,29 @@
-"""Array-core vs legacy-core parity for the flat-array move core.
+"""Coherence probes of the flat-array move core.
 
-``AnnealerConfig(array_core=True)`` (the default) switches the move
-transaction onto :mod:`repro.core.arraystate`: route-version keyed
-phantom restore, geometry restore by assignment, and delay-cache reuse
-across moves.  The contract is that the flag is *invisible* — every
-observable of a run (traces, snapshots, dynamics, final costs) must be
-bit-identical to the legacy object-graph core.  These tests enforce the
-contract property-style over several random small netlists and seeds,
-plus unit-level coverage of the coherence probes themselves.
+:class:`repro.core.arraystate.ArrayState` cross-validates the hot-path
+arrays (per-track occupancy bitmasks, route versions, version-keyed
+delay caches) against the object books and a bit-exact recompute.  The
+sanitizer and :func:`repro.lint.runtime.check_all` run these probes;
+the tests here pin that they pass on settled layouts and catch a
+planted divergence.
 """
-
-import json
 
 import pytest
 
 from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
 from repro.core.arraystate import HAVE_NUMPY, ArrayState
+from repro.lint.runtime import MoveSanitizer, SanitizerError
 from repro.netlist import tiny
 
 from conftest import architecture_for
 
 
-def _config(seed, array_core, trace=False, snapshot_every=0, sanitize=False):
+def _config(seed, sanitize=False):
     return AnnealerConfig(
         seed=seed,
         attempts_per_cell=3,
         initial="clustered",
         greedy_rounds=1,
-        array_core=array_core,
-        trace=trace,
-        snapshot_every=snapshot_every,
         sanitize=sanitize,
         schedule=ScheduleConfig(
             lambda_=2.0, max_temperatures=6, freeze_patience=2
@@ -37,96 +31,38 @@ def _config(seed, array_core, trace=False, snapshot_every=0, sanitize=False):
     )
 
 
-def _anneal(netlist_seed, anneal_seed, array_core, **config_kw):
+def _anneal(netlist_seed, anneal_seed, **config_kw):
     netlist = tiny(seed=netlist_seed, num_cells=28, depth=4)
     arch = architecture_for(netlist, tracks=10, vtracks=5)
     annealer = SimultaneousAnnealer(
-        netlist, arch, _config(anneal_seed, array_core, **config_kw)
+        netlist, arch, _config(anneal_seed, **config_kw)
     )
     result = annealer.run()
     assert annealer.audit() == []
     return annealer, result
 
 
-def _scrubbed_events(trace):
-    """Trace events minus the fields that legitimately differ by core.
-
-    The ``run_start`` manifest embeds the full config — including the
-    ``array_core`` flag under test and a digest over it.  Everything
-    else (stage samples, metrics deltas, layout snapshots, run_end
-    terms) must match event-for-event.
-    """
-    events = json.loads(json.dumps(trace.events))  # deep copy, JSON types
-    for event in events:
-        if event.get("type") == "run_start":
-            event["manifest"].pop("config_digest", None)
-            event["manifest"]["config"].pop("array_core", None)
-    return events
-
-
-class TestCoreParity:
-    """N random netlists x 2 seeds: both cores, identical everything."""
-
-    @pytest.mark.parametrize("netlist_seed", [11, 12, 13])
-    @pytest.mark.parametrize("anneal_seed", [3, 9])
-    def test_traces_costs_snapshots_identical(self, netlist_seed, anneal_seed):
-        _, fast = _anneal(
-            netlist_seed, anneal_seed, array_core=True,
-            trace=True, snapshot_every=2,
-        )
-        _, legacy = _anneal(
-            netlist_seed, anneal_seed, array_core=False,
-            trace=True, snapshot_every=2,
-        )
-        assert fast.moves_attempted == legacy.moves_attempted
-        assert fast.moves_accepted == legacy.moves_accepted
-        assert fast.temperatures == legacy.temperatures
-        assert fast.fully_routed == legacy.fully_routed
-        # Final cost terms bit-exact (float equality is the contract).
-        assert fast.terms == legacy.terms
-        # Per-temperature dynamics bit-exact.
-        assert fast.dynamics.samples == legacy.dynamics.samples
-        # Full event streams — including embedded layout snapshots —
-        # identical after scrubbing only the config-provenance fields.
-        assert _scrubbed_events(fast.trace) == _scrubbed_events(legacy.trace)
-
-    def test_final_layouts_identical(self):
-        _, fast = _anneal(21, 5, array_core=True)
-        _, legacy = _anneal(21, 5, array_core=False)
-        assert list(fast.placement.iter_placed()) == list(
-            legacy.placement.iter_placed()
-        )
-        assert fast.state.summary() == legacy.state.summary()
-
-
 class TestArrayStateWiring:
-    def test_array_core_attaches_bundle(self):
-        annealer, result = _anneal(31, 1, array_core=True)
-        arrays = result.state.arrays
-        assert isinstance(arrays, ArrayState)
-        assert annealer.ctx.timing.reuse_cache is True
+    def test_bundle_is_coherent_after_run(self):
+        annealer, result = _anneal(31, 1)
+        arrays = ArrayState(result.state, annealer.ctx.timing)
         # Post-run coherence: occupancy masks, claim books, route
         # versions, and timing caches all agree with the object graph.
         assert arrays.check_all() == []
         assert arrays.audit_column_occupancy() == []
 
-    def test_legacy_core_leaves_state_bare(self):
-        annealer, result = _anneal(31, 1, array_core=False)
-        assert result.state.arrays is None
-        assert annealer.ctx.timing.reuse_cache is False
-
     def test_probe_rotates_and_stays_clean(self):
-        _, result = _anneal(32, 2, array_core=True)
-        arrays = result.state.arrays
+        annealer, result = _anneal(32, 2)
+        arrays = ArrayState(result.state, annealer.ctx.timing)
         # The sanitizer probe samples a different slice per move
         # counter; a settled state must be clean at every phase.
         for counter in range(8):
             assert arrays.probe(counter) == []
 
     def test_probe_detects_occupancy_divergence(self):
-        _, result = _anneal(33, 2, array_core=True)
+        annealer, result = _anneal(33, 2)
         state = result.state
-        arrays = state.arrays
+        arrays = ArrayState(state, annealer.ctx.timing)
         # Flip one unowned segment bit in the occupancy bitmask behind
         # the books' back; the probe must flag the divergence.
         channel = state.fabric.channels[0]
@@ -142,9 +78,35 @@ class TestArrayStateWiring:
                     return
         pytest.skip("channel 0 fully occupied")  # pragma: no cover
 
+    def test_audit_and_sanitizer_reach_timing_probe(self):
+        # No switch selects the probes: the annealer's audit and the
+        # sanitizer's per-move sample both run them on every state.
+        annealer, _ = _anneal(35, 3)
+        ctx = annealer.ctx
+        timing = ctx.timing
+        sanitizer = MoveSanitizer(check_every=1000)
+        net = 1 % ctx.state.netlist.num_nets  # the first move's sample
+        if timing._delay_cache[net] is None:
+            timing.sink_delays(net)
+        good = timing._delay_cache[net]
+        timing._delay_cache[net] = [value + 1.0 for value in good]
+        try:
+            assert any(
+                p.startswith("array-coherence") for p in annealer.audit()
+            )
+            with pytest.raises(SanitizerError) as caught:
+                sanitizer.check_commit(ctx, move=None)
+            assert any(
+                p.startswith("array-coherence")
+                for p in caught.value.problems
+            )
+        finally:
+            timing._delay_cache[net] = good
+        assert annealer.audit() == []
+
     def test_sanitized_array_run_matches_plain(self):
-        _, plain = _anneal(34, 6, array_core=True)
-        _, sanitized = _anneal(34, 6, array_core=True, sanitize=True)
+        _, plain = _anneal(34, 6)
+        _, sanitized = _anneal(34, 6, sanitize=True)
         assert sanitized.moves_attempted == plain.moves_attempted
         assert sanitized.moves_accepted == plain.moves_accepted
         assert sanitized.terms == plain.terms

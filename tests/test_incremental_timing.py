@@ -137,3 +137,51 @@ class TestCache:
         state.refresh_geometry(0)
         timing.update_nets([0])
         assert timing.sink_delays(0) is not cached
+
+    def test_version_current_skip_matches_forced_recompute(
+        self, routed_tiny, tech
+    ):
+        # update_nets skips a touched net whose cached delays are at
+        # the net's current route version.  A twin analyzer forced to
+        # recompute those nets must reach the same arrivals and record
+        # the same arrival deltas.  Its delta may hold extra boundary
+        # and cache entries, but only ones that equal the current
+        # values, so undoing either delta gives the same state.
+        _, state = routed_tiny
+        skipping = IncrementalTiming(state, tech)
+        forced = IncrementalTiming(state, tech)
+        router = IncrementalRouter(state)
+        changed = [r.net_index for r in state.routes[:3]]
+        current = [r.net_index for r in state.routes[3:9]]
+        router.rip_up_nets(changed)
+        router.refresh_nets(changed)
+        router.repair()
+        for net_index in current:
+            skipping.sink_delays(net_index)
+            forced.sink_delays(net_index)
+            forced._cache_version[net_index] = 0
+        skipped = skipping.update_nets(changed + current)
+        recomputed = forced.update_nets(changed + current)
+        assert skipping.arrival == forced.arrival
+        assert skipping.boundary_in == forced.boundary_in
+        assert skipping._delay_cache == forced._delay_cache
+        assert skipping.audit() == [] and forced.audit() == []
+        assert skipped.arrival == recomputed.arrival
+        assert set(recomputed.delay_cache) - set(skipped.delay_cache) == set(
+            current
+        )
+        for ours, theirs, live in (
+            (skipped.boundary_in, recomputed.boundary_in,
+             forced.boundary_in),
+            (skipped.delay_cache, recomputed.delay_cache,
+             forced._delay_cache),
+        ):
+            for key, value in theirs.items():
+                if key in ours:
+                    assert ours[key] == value
+                else:
+                    assert value == live[key]
+        skipping.restore(skipped)
+        forced.restore(recomputed)
+        assert skipping.arrival == forced.arrival
+        assert skipping.boundary_in == forced.boundary_in

@@ -253,6 +253,31 @@ class TestSliceAnalytics:
         assert any("baseline only" in row for row in rows
                    for row in [row])
 
+    def test_records_with_retired_core_field_read_and_regress(self):
+        # Records written before the move core was unified carry a
+        # ``core`` field; new records do not.  Old ledgers still load,
+        # keep their identity digests, slice, and gate new runs.
+        path = (Path(__file__).parents[1] / "benchmarks" / "baselines"
+                / "ledger_smoke.jsonl")
+        baseline = read_ledger(path).records
+        assert baseline and all("core" in record for record in baseline)
+        for record in baseline:
+            assert record["record_digest"] == record_identity(record)
+        assert select(baseline, design="smoke", flow="bench") == baseline
+        candidate = make_record(
+            flow="bench", design="smoke", seed=1,
+            worst_delay_ns=baseline[0]["worst_delay_ns"],
+            fully_routed=True,
+            normalized_score=baseline[0]["normalized_score"],
+        )
+        assert "core" not in candidate
+        rows, failures = regress_slices(baseline, [candidate])
+        assert failures == []
+        assert rows[0][0] == "bench/smoke" and rows[0][-1] == "ok"
+        slowed = dict(candidate, normalized_score=1.0)
+        _, failures = regress_slices(baseline, [slowed])
+        assert any("normalized_score regressed" in f for f in failures)
+
 
 # ----------------------------------------------------------------------
 # Flow integration and determinism
@@ -278,7 +303,7 @@ class TestFlowIntegration:
         assert extra["seed"] == 11
         assert len(extra["config_digest"]) == 16
         assert len(extra["family_digest"]) == 16
-        assert extra["core"] == "array"
+        assert "core" not in extra
         assert extra["netlist"]["cells"] == 24
 
     def test_family_digest_is_seed_independent(self):
@@ -299,7 +324,7 @@ class TestFlowIntegration:
             flow_result.extra["trace"].run_end["final_cost"]
         assert record["moves_attempted"] == \
             flow_result.extra["moves_attempted"]
-        assert record["core"] == "array"
+        assert "core" not in record
         assert record["artifacts"] == {"trace": "x.jsonl"}
         assert record["tag"] == "t"
 

@@ -39,6 +39,7 @@ from repro.resilience import (
 from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
+    config_from_payload,
 )
 
 from conftest import architecture_for
@@ -262,6 +263,38 @@ class TestResumeDeterminism:
         assert resumed.terms == reference.terms
         assert comparable_metrics(resumed) == comparable_metrics(reference)
         assert layout_digest(resumed) == layout_digest(reference)
+
+    @pytest.mark.parametrize("retired_value", [True, False])
+    def test_checkpoint_with_retired_core_switch_resumes(
+        self, tmp_path, retired_value
+    ):
+        # Checkpoints written while the config still had the move-core
+        # switch carry it in their config record, with either value.
+        # The switch never shaped the trajectory, so such a checkpoint
+        # must resume from its own config record, bit-identically.
+        _, reference = run_anneal(micro_config())
+        path = tmp_path / "ck.ckpt"
+        _, partial = run_anneal(micro_config(
+            checkpoint_path=str(path), checkpoint_every=1, max_stages=3,
+        ))
+        assert partial.interrupted == "stage budget (3)"
+        payload = read_checkpoint(path)
+        assert "array_core" not in payload["config"]
+        payload["config"]["array_core"] = retired_value
+        write_checkpoint(payload, path)  # re-seal the envelope digest
+        assert read_checkpoint(path)["config"]["array_core"] is retired_value
+        config = config_from_payload(read_checkpoint(path))
+        assert config == micro_config(
+            checkpoint_path=str(path), checkpoint_every=1, max_stages=3,
+        )
+        netlist, arch = make_design()
+        result = SimultaneousAnnealer.resume(
+            netlist, arch, path,
+            config=dataclasses.replace(config, max_stages=0),
+        ).run()
+        assert result.terms == reference.terms
+        assert comparable_metrics(result) == comparable_metrics(reference)
+        assert layout_digest(result) == layout_digest(reference)
 
     def test_checkpointing_is_invisible_to_plain_runs(self, tmp_path):
         _, plain = run_anneal(micro_config())

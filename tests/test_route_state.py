@@ -9,6 +9,7 @@ from repro.arch.channel import Channel
 from repro.arch.vertical import VerticalColumn
 from repro.route import (
     IncrementalRouter,
+    NetJournal,
     RoutingState,
     route_net_global,
     route_net_in_channel,
@@ -357,3 +358,91 @@ class TestPlaceAwareCaches:
         assert not state.detail_attempt_is_hopeless(net, channel)
         assert route_net_in_channel(state, net, channel)
         assert state.routes[net].claims[channel].track == claim.track
+
+
+# ----------------------------------------------------------------------
+# Phantom releases
+# ----------------------------------------------------------------------
+class TestPhantomReleases:
+    """A journaled net whose route version did not change is restored
+    by :meth:`RoutingState.log_phantom_releases` instead of a rip-up,
+    reclaim and commit.  The shortcut must leave the release logs and
+    every net's cached failures exactly as that round trip does."""
+
+    @staticmethod
+    def routed(tiny_netlist, tiny_arch):
+        placement = clustered_placement(
+            tiny_netlist, tiny_arch.build(), random.Random(1234)
+        )
+        state = RoutingState(placement)
+        IncrementalRouter(state).route_all_from_scratch()
+        for route in state.routes:  # cached failures on every net
+            for channel in route.pin_channels:
+                state.note_detail_failure(
+                    route.net_index, channel, route.xmin, route.xmax
+                )
+            if route.needs_vertical:
+                state.note_global_failure(
+                    route.net_index, route.cmin, route.cmax
+                )
+        return state
+
+    @staticmethod
+    def books(state):
+        return (
+            [list(log) for log in state._channel_releases],
+            list(state._vertical_releases),
+            [dict(fails) for fails in state._detail_fail],
+            list(state._global_fail),
+        )
+
+    @pytest.mark.parametrize("log_cap", [None, 1])
+    def test_phantom_restore_matches_round_trip(
+        self, tiny_netlist, tiny_arch, log_cap
+    ):
+        phantom = self.routed(tiny_netlist, tiny_arch)
+        real = self.routed(tiny_netlist, tiny_arch)
+        if log_cap is not None:  # every release compacts its log
+            phantom.RELEASE_LOG_CAP = real.RELEASE_LOG_CAP = log_cap
+        assert self.books(phantom) == self.books(real)
+        nets = [
+            route.net_index for route in phantom.routes
+            if route.vertical is not None and len(route.claims) > 1
+        ][:3]
+        assert nets, "expected globally and detail routed nets"
+
+        journal = NetJournal(phantom)
+        for net in nets:
+            journal.snapshot(net)
+        versions = [phantom.route_version[net] for net in nets]
+        journal.restore_all()
+        assert [phantom.route_version[net] for net in nets] == versions
+
+        saved = {
+            net: (real.routes[net].vertical,
+                  tuple(real.routes[net].claims.values()))
+            for net in nets
+        }
+        for net in nets:
+            real.rip_up(net)
+        for net in nets:
+            real.refresh_geometry(net)
+            vertical, claims = saved[net]
+            real.fabric.vcolumns[vertical.column].reclaim(net, vertical)
+            real.commit_vertical(net, vertical)
+            for claim in claims:
+                real.fabric.channels[claim.channel].reclaim(net, claim)
+                real.commit_detail(net, claim)
+
+        assert phantom.summary() == real.summary()
+        assert self.books(phantom) == self.books(real)
+        # The logged places feed every bystander's cached failure alike.
+        for route in phantom.routes:
+            net = route.net_index
+            for channel in sorted(route.pin_channels):
+                assert phantom.detail_attempt_is_hopeless(net, channel) == \
+                    real.detail_attempt_is_hopeless(net, channel)
+            assert phantom.global_attempt_is_hopeless(net) == \
+                real.global_attempt_is_hopeless(net)
+        assert self.books(phantom) == self.books(real)
+        assert phantom.check_consistency() == []
