@@ -29,7 +29,11 @@ seed): the report records the traced throughput and the fractional
 overhead, and the run fails if tracing slows the hot loop by more than
 ``--max-trace-overhead`` (default 5%) or — worse — perturbs the anneal
 (traced and untraced runs must be bit-identical).  ``--no-trace`` skips
-the comparison runs.
+the comparison runs.  The traced run also times the move
+transaction's sections (ripup / repair / timing / cost / rollback, via
+the trace metrics registry), so each design record carries that run's
+``profile`` and a per-phase breakdown ``phases`` (the sections plus
+``other``) that perf work can quote to attribute wins.
 
 A further pair of runs gates periodic layout snapshots
 (``--snapshot-every``, default every 5 stages): snapshotting must cost
@@ -58,10 +62,6 @@ production default) so the gate covers many more atomic sidecar writes
 than a real run pays; ``--max-heartbeat-overhead`` (default 5%) bounds
 the slowdown and the beating anneal must stay bit-identical.
 ``--no-heartbeat`` skips it.
-
-``--profile`` emits a per-phase timing breakdown (ripup / repair /
-timing / cost / rollback / other) into each design record so perf work
-can attribute wins.
 
 Exit status is non-zero if any design fails to anneal, the regression
 gate trips, or the tracing overhead gate trips.
@@ -99,7 +99,7 @@ def _schedule(max_temperatures: int) -> ScheduleConfig:
 
 
 def _config(
-    case: BenchCase, profile: bool, trace: bool = False,
+    case: BenchCase, trace: bool = False,
     snapshot_every: int = 0, checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
     heartbeat_path: Optional[str] = None,
@@ -110,7 +110,6 @@ def _config(
         attempts_per_cell=4,
         initial="clustered",
         greedy_rounds=1,
-        profile=profile,
         trace=trace,
         snapshot_every=snapshot_every,
         checkpoint_path=checkpoint_path,
@@ -168,9 +167,9 @@ def calibrate(reps: int = 3, iters: int = 200_000) -> float:
 
 
 def _phase_breakdown(profile: dict, wall: float) -> dict:
-    """Per-phase wall-clock attribution derived from a profile record.
+    """Per-phase wall-clock attribution derived from a traced run's profile.
 
-    The move-transaction profiler times the ripup / repair / timing /
+    The trace metrics registry times the ripup / repair / timing /
     cost / rollback sections of every move; whatever it does not cover
     (move selection, acceptance bookkeeping, schedule control, channel
     scans) lands in ``other`` so the fractions sum to ~1.  Future perf
@@ -190,7 +189,7 @@ def _phase_breakdown(profile: dict, wall: float) -> dict:
 
 
 def run_case(
-    case: BenchCase, calibration_s: float, profile: bool,
+    case: BenchCase, calibration_s: float,
     trace: bool = False, snapshot_every: int = 0,
     checkpoint_path: Optional[str] = None, checkpoint_every: int = 0,
     ledger_path: Optional[str] = None,
@@ -208,7 +207,7 @@ def run_case(
     arch = architecture_for(netlist, tracks_per_channel=case.tracks)
     annealer = SimultaneousAnnealer(
         netlist, arch,
-        _config(case, profile, trace, snapshot_every,
+        _config(case, trace, snapshot_every,
                 checkpoint_path, checkpoint_every,
                 heartbeat_path, heartbeat_min_interval_s),
     )
@@ -239,9 +238,8 @@ def run_case(
         "audit_clean": annealer.audit() == [],
     }
     if result.profile is not None:
-        prof = result.profile.as_dict()
-        record["profile"] = prof
-        record["phases"] = _phase_breakdown(prof, wall)
+        record["profile"] = result.profile
+        record["phases"] = _phase_breakdown(result.profile, wall)
     if result.trace is not None:
         record["trace_events"] = len(result.trace.events)
     return record
@@ -259,9 +257,10 @@ def measure_trace_overhead(
     """Re-run one case with tracing on and compare against ``baseline``.
 
     Returns a record with the traced throughput, the fractional
-    normalized-score overhead relative to the untraced run, and whether
+    normalized-score overhead relative to the untraced run, whether
     the traced run reproduced the baseline's results bit-exactly (the
-    repro.obs determinism contract).
+    repro.obs determinism contract), and the best traced run's
+    section ``profile`` and ``phases``.
 
     Single timings of a multi-second anneal swing by ±10% on a busy
     host (warm-up drift alone exceeds the sub-5% overhead being gated),
@@ -272,10 +271,10 @@ def measure_trace_overhead(
     best_base = baseline
     best_traced: Optional[dict] = None
     for _ in range(reps):
-        again = run_case(case, calibration_s, profile=False)
+        again = run_case(case, calibration_s)
         if again["normalized_score"] > best_base["normalized_score"]:
             best_base = again
-        traced = run_case(case, calibration_s, profile=False, trace=True)
+        traced = run_case(case, calibration_s, trace=True)
         if (best_traced is None
                 or traced["normalized_score"] > best_traced["normalized_score"]):
             best_traced = traced
@@ -290,6 +289,8 @@ def measure_trace_overhead(
         "metrics_identical": all(
             best_traced[key] == baseline[key] for key in _DETERMINISM_KEYS
         ),
+        "profile": best_traced["profile"],
+        "phases": best_traced["phases"],
     }
 
 
@@ -309,12 +310,12 @@ def measure_snapshot_overhead(
     best_traced: Optional[dict] = None
     best_snap: Optional[dict] = None
     for _ in range(reps):
-        traced = run_case(case, calibration_s, profile=False, trace=True)
+        traced = run_case(case, calibration_s, trace=True)
         if (best_traced is None
                 or traced["normalized_score"] > best_traced["normalized_score"]):
             best_traced = traced
         snapped = run_case(
-            case, calibration_s, profile=False, trace=True,
+            case, calibration_s, trace=True,
             snapshot_every=every,
         )
         if (best_snap is None
@@ -355,12 +356,12 @@ def measure_checkpoint_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as tmp:
         path = str(Path(tmp) / f"{case.name}.ckpt")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
+            again = run_case(case, calibration_s)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
             checked = run_case(
-                case, calibration_s, profile=False,
-                checkpoint_path=path, checkpoint_every=every,
+                case, calibration_s, checkpoint_path=path,
+                checkpoint_every=every,
             )
             if (best_ck is None
                     or checked["normalized_score"] > best_ck["normalized_score"]):
@@ -398,11 +399,10 @@ def measure_ledger_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-ledger-") as tmp:
         path = str(Path(tmp) / "ledger.jsonl")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
+            again = run_case(case, calibration_s)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
-            recorded = run_case(case, calibration_s, profile=False,
-                                ledger_path=path)
+            recorded = run_case(case, calibration_s, ledger_path=path)
             if (best_led is None
                     or recorded["normalized_score"] > best_led["normalized_score"]):
                 best_led = recorded
@@ -441,11 +441,11 @@ def measure_heartbeat_overhead(
     with tempfile.TemporaryDirectory(prefix="bench-hb-") as tmp:
         path = str(Path(tmp) / f"{case.name}.hb")
         for _ in range(reps):
-            again = run_case(case, calibration_s, profile=False)
+            again = run_case(case, calibration_s)
             if again["normalized_score"] > best_base["normalized_score"]:
                 best_base = again
             beating = run_case(
-                case, calibration_s, profile=False, heartbeat_path=path,
+                case, calibration_s, heartbeat_path=path,
                 heartbeat_min_interval_s=min_interval_s,
             )
             if (best_hb is None
@@ -477,7 +477,7 @@ def case_ledger_record(
     from repro.obs.ledger import FAMILY_EXCLUDE, make_record
     from repro.obs.tracer import config_digest
 
-    config = _config(case, profile=False)
+    config = _config(case)
     overheads = {
         kind: record[kind]
         for kind in ("tracing", "snapshotting", "checkpointing", "ledger",
@@ -539,11 +539,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="run only the cut-down smoke case (CI-sized)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attach per-phase profiles and timing breakdowns to the "
-        "JSON records",
     )
     parser.add_argument(
         "--output", default="BENCH_moves.json",
@@ -639,7 +634,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ok = True
     for name in names:
         case = CASES[name]
-        record = run_case(case, calibration_s, args.profile)
+        record = run_case(case, calibration_s)
         # Host jitter is roughly constant in absolute terms (~0.1 s a
         # run), so the overhead gates on short anneals are noise-
         # dominated: give them extra best-of pairs.  Long cases are
@@ -659,6 +654,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tracing = measure_trace_overhead(
                 case, calibration_s, record, reps=overhead_reps,
             )
+            record["profile"] = tracing.pop("profile")
+            record["phases"] = tracing.pop("phases")
             record["tracing"] = tracing
             print(
                 f"{name} (traced): {tracing['moves_per_sec']:.1f} moves/s, "

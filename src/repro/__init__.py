@@ -70,7 +70,6 @@ from .obs import (
     maybe_tracer,
     read_trace,
 )
-from .perf import Profiler, RunProfile, maybe_profiler
 from .netlist import (
     CircuitSpec,
     Netlist,
@@ -100,8 +99,6 @@ __all__ = [
     "MetricsRegistry",
     "Netlist",
     "PAPER_SPECS",
-    "Profiler",
-    "RunProfile",
     "RunTrace",
     "Tracer",
     "ScheduleConfig",
@@ -122,7 +119,6 @@ __all__ = [
     "format_table",
     "generate",
     "kway_partition",
-    "maybe_profiler",
     "maybe_tracer",
     "min_tracks_for_routing",
     "paper_benchmark",

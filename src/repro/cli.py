@@ -46,6 +46,7 @@ from .flows import (
 )
 from .netlist import PAPER_SPECS, dump, paper_benchmark
 from .obs.console import get_console
+from .obs.metrics import format_timings
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -88,14 +89,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     arch = architecture_for(netlist, tracks_per_channel=args.tracks)
     sim_cfg, seq_cfg = _configs(args.effort, args.seed)
     # The instrumentation flags compose freely: any subset of
-    # --profile / --trace / --sanitize / --heartbeat can ride on one
-    # run, all wired through the shared Instrumentation hook point in
+    # --trace / --sanitize / --heartbeat can ride on one run, all wired through the shared Instrumentation hook point in
     # the annealer.
     overrides: dict = {}
     if args.sanitize:
         overrides["sanitize"] = True
-    if args.profile:
-        overrides["profile"] = True
     if args.trace is not None:
         overrides["trace"] = True
     if args.heartbeat is not None:
@@ -163,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "checkpoint_path", "checkpoint_every", "max_seconds",
             "max_stages", "max_moves", "handle_signals",
         )
-        for flag in ("sanitize", "profile", "snapshot_every"):
+        for flag in ("sanitize", "snapshot_every"):
             if overrides.pop(flag, False):
                 name = flag.replace("_", "-")
                 console.note(f"note: --{name} only instruments the "
@@ -192,7 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          f"--resume {checkpoint}")
     profile = result.extra.get("profile") if result.extra else None
     if profile is not None:
-        print(profile.format())
+        print(format_timings(profile, result.wall_time_s))
     trace = result.extra.get("trace") if result.extra else None
     if trace is not None and args.trace is not None:
         trace.write_jsonl(args.trace)
@@ -316,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow", choices=("sequential", "simultaneous"), default="simultaneous"
     )
     p_run.add_argument(
-        "--profile", action="store_true",
-        help="collect and print per-phase hot-loop timings "
-        "(moves/sec, rip-up vs repair vs timing vs cost)",
-    )
-    p_run.add_argument(
         "--sanitize", action="store_true",
         help="cross-check rollback/cache/audit invariants after every "
         "move (slow; results are bit-identical to an unsanitized run)",
@@ -328,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--trace", nargs="?", const="trace.jsonl", default=None,
         metavar="PATH",
-        help="record a structured event trace and write it as JSONL "
+        help="record a structured event trace and write it as JSONL, "
+        "and print per-section move-transaction timings "
         "(default PATH: trace.jsonl; results are bit-identical to an "
         "untraced run)",
     )

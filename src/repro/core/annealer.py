@@ -28,7 +28,6 @@ from ..arch.presets import Architecture
 from ..arch.technology import Technology
 from ..netlist.netlist import Netlist
 from ..obs import Instrumentation, RunTrace, build_manifest
-from ..perf import RunProfile
 from ..place.initial import clustered_placement, random_placement
 from ..place.placement import Placement
 from ..route.channel_router import DEFAULT_SEGMENT_WEIGHT
@@ -64,10 +63,6 @@ class AnnealerConfig:
     #: direction): fraction of swap proposals drawn from the current
     #: near-zero-slack cells instead of uniformly.  0 disables.
     critical_bias: float = 0.0
-    #: Collect per-phase timings and counters into ``AnnealResult.profile``.
-    #: Never affects results: identical seeds give identical metrics
-    #: with profiling on or off.
-    profile: bool = False
     #: Repair fast path (dirty-channel iteration + negative-result
     #: caches + zero-net-move short circuit).  Bit-identical results
     #: either way; off is the exhaustive repair path, kept only as the
@@ -85,8 +80,9 @@ class AnnealerConfig:
     #: Structured event tracing (see :mod:`repro.obs`): per-stage cost
     #: terms, adaptive weights, move-type accept/reject counts, and
     #: repair/cache/timing metric deltas into ``AnnealResult.trace``.
-    #: Never affects results: a traced run is bit-identical to an
-    #: untraced run with the same seed.
+    #: A traced run also times the move transaction's sections into
+    #: ``AnnealResult.profile``.  Never affects results: a traced run
+    #: is bit-identical to an untraced run with the same seed.
     trace: bool = False
     #: With tracing on, also append every event to this file as it is
     #: emitted (same serialization as the final JSONL trace), so a live
@@ -207,8 +203,10 @@ class AnnealResult:
     moves_accepted: int
     temperatures: int
     wall_time_s: float
-    #: Per-phase timings/counters; present only when profiling was on.
-    profile: Optional[RunProfile] = None
+    #: Per-section seconds and call counts of the move transaction
+    #: (:meth:`repro.obs.MetricsRegistry.timings`); present only when
+    #: tracing was on.  Wall-clock telemetry, never part of results.
+    profile: Optional[dict] = None
     #: Structured event trace; present only when tracing was on.
     trace: Optional[RunTrace] = None
     #: Why the run stopped early ("signal SIGINT", "stage budget (40)",
@@ -261,9 +259,8 @@ class SimultaneousAnnealer:
         self.rng = random.Random(self.config.seed)
 
         # One shared hook point builds every requested observability
-        # facility (--profile / --trace / --sanitize) together.
+        # facility (--trace / --sanitize / --heartbeat) together.
         self.instrumentation = Instrumentation.from_config(self.config)
-        self.profiler = self.instrumentation.profiler
         self.tracer = self.instrumentation.tracer
         self.sanitizer = self.instrumentation.sanitizer
         metrics = self.instrumentation.metrics
@@ -282,7 +279,7 @@ class SimultaneousAnnealer:
         timing = IncrementalTiming(state, self.technology)
         timing.metrics = metrics
         self.ctx = LayoutContext(placement, state, router, timing,
-                                 profiler=self.profiler, metrics=metrics)
+                                 metrics=metrics)
         self.weights = CostWeights(
             self.config.importance_global,
             self.config.importance_detail,
@@ -662,13 +659,13 @@ class SimultaneousAnnealer:
         sanitizer = self.sanitizer
         before = sanitizer.capture(self.ctx) if sanitizer is not None else None
         record = apply_move(self.ctx, move)
-        prof = self.profiler
-        if prof is not None:
+        mx = self.ctx.metrics
+        if mx is not None:
             t0 = perf_counter()
         new_terms = self.evaluator.terms()
         delta = self.weights.scalar(new_terms) - self.weights.scalar(current)
-        if prof is not None:
-            prof.add_time("cost", perf_counter() - t0)
+        if mx is not None:
+            mx.add_time("cost", perf_counter() - t0)
         if delta <= 0:
             accept = True
         elif temperature <= 0:
@@ -843,12 +840,9 @@ class SimultaneousAnnealer:
                 force=True,
             )
         profile = None
-        if self.profiler is not None:
-            profile = self.profiler.finish(
-                wall_time, self._attempted, self._accepted
-            )
         trace = None
         if tracer is not None:
+            profile = tracer.metrics.timings()
             if self.instrumentation.snapshot_every > 0:
                 from ..obs.snapshot import capture_snapshot
 

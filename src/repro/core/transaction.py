@@ -18,9 +18,10 @@ unconnected pinmap change) frees no routing capacity, so the repair
 queues are exactly as hopeless as the previous transaction left them —
 the whole cascade is skipped when the router's fast path is on.
 
-When a :class:`~repro.perf.Profiler` rides on the context, each phase
-of the cascade is timed under the guarded-probe pattern (a single
-``is not None`` test per phase when profiling is off).
+When a :class:`~repro.obs.MetricsRegistry` rides on the context (a
+traced run), each phase of the cascade is timed into its volatile
+section table under the guarded-probe pattern (a single ``is not None``
+test per phase when tracing is off).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from time import perf_counter
 from typing import Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..perf import Profiler
 from ..place.placement import Placement
 from ..route.incremental import IncrementalRouter, NetJournal
 from ..route.state import RoutingState
@@ -46,8 +46,8 @@ class LayoutContext:
     state: RoutingState
     router: IncrementalRouter
     timing: IncrementalTiming
-    profiler: Optional[Profiler] = None
-    #: Trace metrics registry; None unless tracing was requested.
+    #: Trace metrics registry and section timers; None unless tracing
+    #: was requested.
     metrics: Optional[MetricsRegistry] = None
 
 
@@ -70,7 +70,7 @@ def apply_move(ctx: LayoutContext, move: Move) -> TransactionRecord:
     function of *which* nets a move touches, never of set iteration
     order.
     """
-    prof = ctx.profiler
+    mx = ctx.metrics
     affected_cells = move.cells_involved(ctx.placement)
     affected_nets: set[int] = set()
     for cell_index in affected_cells:
@@ -82,38 +82,29 @@ def apply_move(ctx: LayoutContext, move: Move) -> TransactionRecord:
         # pending net and timing would re-derive every arrival bit-for-
         # bit.  Apply the placement mutation alone.
         move.apply(ctx.placement)
-        if prof is not None:
-            prof.count("moves", 1)
-            prof.count("moves_zero_net", 1)
-        mx = ctx.metrics
         if mx is not None:
             mx.count("transaction.zero_net")
         return TransactionRecord(move, journal, TimingDelta(), 0)
 
     ordered_nets = sorted(affected_nets)
-    if prof is not None:
+    if mx is not None:
         t0 = perf_counter()
     ctx.router.rip_up_nets(ordered_nets, journal)
     move.apply(ctx.placement)
     ctx.router.refresh_nets(ordered_nets)
-    if prof is not None:
-        prof.add_time("ripup", perf_counter() - t0)
+    if mx is not None:
+        mx.add_time("ripup", perf_counter() - t0)
         t0 = perf_counter()
     ctx.router.repair(journal)
-    if prof is not None:
-        prof.add_time("repair", perf_counter() - t0)
+    if mx is not None:
+        mx.add_time("repair", perf_counter() - t0)
 
     touched = sorted(journal.touched())
-    if prof is not None:
+    if mx is not None:
         t0 = perf_counter()
     timing_delta = ctx.timing.update_nets(touched)
-    if prof is not None:
-        prof.add_time("timing", perf_counter() - t0)
-        prof.count("moves", 1)
-        prof.count("nets_ripped", len(affected_nets))
-        prof.count("nets_journaled", len(touched))
-    mx = ctx.metrics
     if mx is not None:
+        mx.add_time("timing", perf_counter() - t0)
         mx.observe("transaction.nets_journaled", len(touched))
     return TransactionRecord(move, journal, timing_delta, len(touched))
 
@@ -124,11 +115,11 @@ def rollback(ctx: LayoutContext, record: TransactionRecord) -> None:
     Mutates: every layer of ``ctx`` (placement, routing state, timing),
     restoring each to its pre-``record`` snapshot.
     """
-    prof = ctx.profiler
-    if prof is not None:
+    mx = ctx.metrics
+    if mx is not None:
         t0 = perf_counter()
     record.move.undo(ctx.placement)
     record.journal.restore_all()
     ctx.timing.restore(record.timing_delta)
-    if prof is not None:
-        prof.add_time("rollback", perf_counter() - t0)
+    if mx is not None:
+        mx.add_time("rollback", perf_counter() - t0)

@@ -22,18 +22,17 @@ def run_simultaneous(
     netlist: Netlist,
     architecture: Architecture,
     config: Optional[AnnealerConfig] = None,
-    profile: Optional[bool] = None,
     trace: Optional[bool] = None,
     resume_from: Optional[dict] = None,
 ) -> FlowResult:
     """Run the simultaneous flow end to end.
 
-    ``profile`` / ``trace`` override the matching config flags when
-    given — this is the instrumentation entry point the CLI and the
-    benchmark harnesses share.  The run's
-    :class:`~repro.perf.RunProfile` rides in ``extra["profile"]`` and
-    its :class:`~repro.obs.RunTrace` in ``extra["trace"]`` (None when
-    the facility is off).
+    ``trace`` overrides the config flag when given — this is the
+    instrumentation entry point the CLI and the benchmark harnesses
+    share.  A traced run's :class:`~repro.obs.RunTrace` rides in
+    ``extra["trace"]`` and its per-section timings
+    (``AnnealResult.profile``) in ``extra["profile"]``; both are None
+    when tracing is off.
 
     ``resume_from`` is a verified checkpoint payload (see
     :func:`repro.resilience.read_checkpoint`): the anneal continues the
@@ -44,13 +43,8 @@ def run_simultaneous(
     ``extra["checkpoint"]``.
     """
     started = time.perf_counter()
-    overrides = {}
-    if profile is not None:
-        overrides["profile"] = profile
     if trace is not None:
-        overrides["trace"] = trace
-    if overrides:
-        config = dataclasses.replace(config or AnnealerConfig(), **overrides)
+        config = dataclasses.replace(config or AnnealerConfig(), trace=trace)
     annealer = SimultaneousAnnealer(
         netlist, architecture, config, resume_from=resume_from
     )

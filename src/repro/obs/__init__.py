@@ -5,10 +5,10 @@ Three cooperating pieces (see docs/OBSERVABILITY.md):
 * :mod:`repro.obs.tracer` — the event tracer the annealer, transaction
   layer, routers, and timing engine emit structured events into, plus
   :class:`Instrumentation`, the single hook point that builds the
-  profiler/tracer/sanitizer bundle from a config;
+  tracer/sanitizer/heartbeat bundle from a config;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with explicit
-  snapshots, safe to probe from hot loops under an ``is not None``
-  guard;
+  snapshots, plus the volatile move-transaction section timers, safe
+  to probe from hot loops under an ``is not None`` guard;
 * :mod:`repro.obs.events` / :mod:`repro.obs.summary` — the
   schema-versioned JSONL trace format and the offline analysis behind
   ``repro-fpga trace``;

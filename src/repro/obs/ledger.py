@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .tracer import config_digest
+from .tracer import NON_IDENTITY_FIELDS, config_digest
 
 #: Version of the record vocabulary.  Adding optional fields is
 #: compatible; removing or re-interpreting a field requires a bump.
@@ -70,28 +70,9 @@ VOLATILE_FIELDS = (
 
 #: Config fields excluded from ``family_digest`` (the seed-independent
 #: experiment identity): the seed itself, plus every knob proven not to
-#: affect results — instrumentation, budgets, checkpointing, and the
-#: bit-identical fast-path switch.  Mirrors the resilience
-#: layer's ``NON_IDENTITY_FIELDS`` reasoning (see
-#: :mod:`repro.resilience.checkpoint`) without importing it.
-FAMILY_EXCLUDE = (
-    "seed",
-    "fast_path",
-    "profile",
-    "trace",
-    "trace_stream",
-    "heartbeat_path",
-    "heartbeat_min_interval_s",
-    "sanitize",
-    "sanitize_every",
-    "snapshot_every",
-    "checkpoint_path",
-    "checkpoint_every",
-    "max_seconds",
-    "max_stages",
-    "max_moves",
-    "handle_signals",
-)
+#: affect results (:data:`repro.obs.tracer.NON_IDENTITY_FIELDS`, the
+#: same list the checkpoint's resume identity drops).
+FAMILY_EXCLUDE = ("seed",) + NON_IDENTITY_FIELDS
 
 
 class LedgerError(ValueError):
@@ -230,7 +211,6 @@ def record_from_result(
     moves_per_sec = None
     if moves_attempted and wall and wall > 0:
         moves_per_sec = round(moves_attempted / wall, 1)
-    profile = extra.get("profile")
     netlist_stats = extra.get("netlist")
     return make_record(
         flow=result.flow,
@@ -249,7 +229,7 @@ def record_from_result(
         wall_time_s=round(wall, 4) if wall is not None else None,
         moves_per_sec=moves_per_sec,
         normalized_score=normalized_score,
-        profile=profile.as_dict() if profile is not None else None,
+        profile=extra.get("profile"),
         artifacts=artifacts or None,
         tag=tag,
     )

@@ -1,29 +1,32 @@
-"""Lightweight metrics registry: counters, gauges, histograms.
+"""Lightweight metrics registry: counters, gauges, histograms, timers.
 
 The registry is the *numeric* half of the observability layer (the
-tracer in :mod:`repro.obs.tracer` is the *event* half).  Hot paths that
-already carry a guarded profiler probe can carry a guarded metrics
-probe under the same pattern::
+tracer in :mod:`repro.obs.tracer` is the *event* half).  Hot paths
+carry a guarded probe::
 
     mx = self.metrics            # None unless tracing was requested
     if mx is not None:
         mx.count("repair.detail_ok")
 
 Two hard rules keep instrumented runs bit-identical to plain runs
-(the PR 2 sanitizer contract):
+(the sanitizer's determinism contract):
 
 * **no wall-clock reads** — nothing in this module ever touches a
-  timer; durations belong to :mod:`repro.perf`, which is explicitly
-  telemetry-only.  All values recorded here are already-computed
-  integers/floats of the run itself;
+  timer.  Section timers (:meth:`MetricsRegistry.add_time`) take
+  durations their callers measured, and land in a volatile table that
+  :meth:`MetricsRegistry.snapshot` never includes, so trace events
+  stay byte-identical across hosts.  Everything else recorded here is
+  an already-computed integer/float of the run itself;
 * **no RNG, no layout state** — recording is pure accumulation into
   plain dicts and lists.
 
-``snapshot()`` is the only read API: an explicit, JSON-ready copy of
-everything accumulated so far.  The tracer snapshots at stage
-boundaries and emits per-stage *deltas*, so trace consumers see rates
-(cache hits per temperature, repairs per temperature) without the hot
-loop ever doing subtraction.
+``snapshot()`` is the read API for the deterministic part: an
+explicit, JSON-ready copy of everything accumulated so far.  The
+tracer snapshots at stage boundaries and emits per-stage *deltas*, so
+trace consumers see rates (cache hits per temperature, repairs per
+temperature) without the hot loop ever doing subtraction.
+``timings()`` reads the volatile section table, which feeds
+``AnnealResult.profile`` and the ledger's ``profile`` block.
 """
 
 from __future__ import annotations
@@ -121,14 +124,19 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms with explicit snapshots."""
+    """Named counters, gauges, histograms, and section timers."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "gauges", "histograms", "section_s",
+                 "section_calls")
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
+        #: Volatile per-section seconds and call counts (see
+        #: :meth:`add_time`); never part of :meth:`snapshot`.
+        self.section_s: dict[str, float] = {}
+        self.section_calls: dict[str, int] = {}
 
     # -- hot-path probes (call only under an ``is not None`` guard) ----
     def count(self, name: str, n: int = 1) -> None:
@@ -146,6 +154,11 @@ class MetricsRegistry:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
 
+    def add_time(self, name: str, seconds: float) -> None:
+        """Accumulate one timed section sample measured by the caller."""
+        self.section_s[name] = self.section_s.get(name, 0.0) + seconds
+        self.section_calls[name] = self.section_calls.get(name, 0) + 1
+
     # -- reads ---------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready copy of everything accumulated so far.
@@ -162,6 +175,35 @@ class MetricsRegistry:
                 for name, histogram in sorted(self.histograms.items())
             },
         }
+
+    def timings(self) -> dict:
+        """JSON-ready copy of the volatile section table."""
+        return {
+            "section_s": dict(self.section_s),
+            "section_calls": dict(self.section_calls),
+        }
+
+
+def format_timings(timings: dict, wall_time_s: float) -> str:
+    """Per-section table of a :meth:`MetricsRegistry.timings` copy.
+
+    Sections are listed slowest first, each with its share of
+    ``wall_time_s``; whatever no section covers is ``other``.
+    """
+    seconds = timings["section_s"]
+    calls = timings["section_calls"]
+    denom = wall_time_s if wall_time_s > 0 else 1e-12
+    lines = [f"section timings (of {wall_time_s:.2f}s wall):"]
+    for name in sorted(seconds, key=lambda name: (-seconds[name], name)):
+        lines.append(
+            f"  {name:>10}: {seconds[name]:8.3f}s "
+            f"({100.0 * seconds[name] / denom:5.1f}%) "
+            f"over {calls[name]} calls"
+        )
+    other = max(0.0, wall_time_s - sum(seconds.values()))
+    lines.append(f"  {'other':>10}: {other:8.3f}s "
+                 f"({100.0 * other / denom:5.1f}%)")
+    return "\n".join(lines)
 
 
 def counter_delta(before: dict, after: dict) -> dict[str, int]:

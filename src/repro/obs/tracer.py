@@ -1,19 +1,18 @@
 """The event tracer and the shared instrumentation hook point.
 
 :class:`Tracer` is the event half of the observability layer.  It
-follows the same guarded-probe discipline as :class:`repro.perf.Profiler`:
-when tracing is off the hot loop pays one ``is not None`` test per
-probe site and nothing else; when it is on, recording is append-only
-accumulation of already-computed values — no wall-clock reads, no RNG,
-no layout state — so a traced run is bit-identical to an untraced run
-with the same seed (``tests/test_obs.py`` guards this).
+follows the guarded-probe discipline: when tracing is off the hot loop
+pays one ``is not None`` test per probe site and nothing else; when it
+is on, recording is append-only accumulation of already-computed
+values — no wall-clock reads, no RNG, no layout state — so a traced
+run is bit-identical to an untraced run with the same seed
+(``tests/test_obs.py`` guards this).
 
-:class:`Instrumentation` is the one place the three observability
-facilities (``--profile``, ``--trace``, ``--sanitize``) are
-constructed from an :class:`~repro.core.AnnealerConfig`-shaped config.
-The annealer asks it for everything instead of growing three
-independent wiring paths; anything new (a future ``--debug``?) plugs
-in here.
+:class:`Instrumentation` is the one place the observability facilities
+(``--trace``, ``--sanitize``, ``--heartbeat``, snapshots and
+checkpoints) are constructed from an
+:class:`~repro.core.AnnealerConfig`-shaped config.  The annealer asks
+it for everything instead of growing independent wiring paths.
 """
 
 from __future__ import annotations
@@ -23,9 +22,34 @@ import hashlib
 import json
 from typing import Any, Optional
 
-from ..perf import Profiler, maybe_profiler
 from .events import TRACE_SCHEMA_VERSION, RunTrace
 from .metrics import MetricsRegistry, counter_delta
+
+
+#: Config fields that do not shape the annealing trajectory: the
+#: resilience knobs (a resumed run may use different budgets or
+#: checkpoint cadence), the instrumentation flags (tracing, heartbeat,
+#: sanitizing and snapshotting are all proven bit-identical) and the
+#: repair-path switch (proven bit-identical to its oracle).  The one
+#: list behind both the checkpoint's resume identity
+#: (:func:`repro.resilience.checkpoint.resume_digest`) and the ledger's
+#: family identity (:data:`repro.obs.ledger.FAMILY_EXCLUDE`).
+NON_IDENTITY_FIELDS = (
+    "fast_path",
+    "checkpoint_path",
+    "checkpoint_every",
+    "max_seconds",
+    "max_stages",
+    "max_moves",
+    "handle_signals",
+    "trace",
+    "trace_stream",
+    "heartbeat_path",
+    "heartbeat_min_interval_s",
+    "sanitize",
+    "sanitize_every",
+    "snapshot_every",
+)
 
 
 def config_digest(config: Any, exclude: tuple = ()) -> str:
@@ -203,15 +227,14 @@ def maybe_tracer(
 class Instrumentation:
     """The bundle of per-run observability hooks, built in one place.
 
-    ``profiler`` times hot-loop sections (:mod:`repro.perf`);
-    ``tracer`` records structured events and owns the metrics registry;
+    ``tracer`` records structured events and owns the metrics registry,
+    whose section timers also time the move transaction;
     ``sanitizer`` cross-checks move-transaction invariants
-    (:mod:`repro.lint.runtime`).  All three are optional and mutually
-    composable — any subset can be on, and none of them may perturb
-    the run's results.
+    (:mod:`repro.lint.runtime`).  Every hook is optional and they are
+    mutually composable — any subset can be on, and none of them may
+    perturb the run's results.
     """
 
-    profiler: Optional[Profiler] = None
     tracer: Optional[Tracer] = None
     sanitizer: Optional[Any] = None
     #: Live heartbeat sidecar writer (see :mod:`repro.obs.live`);
@@ -237,12 +260,12 @@ class Instrumentation:
     def from_config(cls, config: Any) -> "Instrumentation":
         """Build every requested hook from one annealer-style config.
 
-        Reads ``config.profile``, ``config.trace``, ``config.sanitize``,
+        Reads ``config.trace``, ``config.sanitize``,
         ``config.sanitize_every``, ``config.snapshot_every``,
         ``config.checkpoint_every``, ``config.checkpoint_path``,
         ``config.trace_stream``, ``config.heartbeat_path`` and
         ``config.heartbeat_min_interval_s`` (each optional, default
-        off) — the single shared wiring point behind ``--profile``,
+        off) — the single shared wiring point behind
         ``--trace``, ``--sanitize``, ``--snapshot-every``,
         ``--checkpoint`` and ``--heartbeat``.
         """
@@ -263,7 +286,6 @@ class Instrumentation:
         checkpoint_path = getattr(config, "checkpoint_path", None)
         stream_path = getattr(config, "trace_stream", None)
         return cls(
-            profiler=maybe_profiler(getattr(config, "profile", False)),
             tracer=maybe_tracer(
                 getattr(config, "trace", False),
                 stream_path=(

@@ -45,6 +45,7 @@ from typing import Optional, Union
 from ..arch.channel import ChannelClaim
 from ..arch.vertical import VerticalClaim
 from ..netlist.netlist import Netlist
+from ..obs.tracer import NON_IDENTITY_FIELDS
 from ..place.placement import Placement
 from ..route.state import RoutingState
 
@@ -57,34 +58,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: (structurally similar) layout files ``flows/layout_io.py`` writes.
 CHECKPOINT_KIND = "repro-anneal-checkpoint"
 
-#: Config fields that do not affect the annealing trajectory: the
-#: resilience knobs themselves (a resumed run may use different budgets
-#: or checkpoint cadence), the instrumentation flags (profiling,
-#: tracing, sanitizing, and snapshotting are all proven bit-identical)
-#: and the repair-path switch (proven bit-identical to its oracle).
-NON_IDENTITY_FIELDS = (
-    "fast_path",
-    "checkpoint_path",
-    "checkpoint_every",
-    "max_seconds",
-    "max_stages",
-    "max_moves",
-    "handle_signals",
-    "profile",
-    "trace",
-    "trace_stream",
-    "heartbeat_path",
-    "heartbeat_min_interval_s",
-    "sanitize",
-    "sanitize_every",
-    "snapshot_every",
-)
-
 #: Config fields older checkpoints carry that ``AnnealerConfig`` no
 #: longer has.  Each was outside checkpoint identity, so dropping it
 #: cannot change the resumed trajectory.  The move-core switch went
-#: when the object-graph core was removed.
-RETIRED_CONFIG_FIELDS = ("array_core",)
+#: when the object-graph core was removed; the profiling switch went
+#: when the section timers moved onto the trace metrics registry.
+RETIRED_CONFIG_FIELDS = ("array_core", "profile")
 
 #: Annealer phases a checkpoint may record.
 PHASES = ("anneal", "greedy", "done")

@@ -127,8 +127,8 @@ def job_config(
     """The attempt's :class:`~repro.core.AnnealerConfig`.
 
     Deterministic in ``spec`` — checkpoint cadence, heartbeat path, and
-    signal handling are all :data:`~repro.resilience.checkpoint.
-    NON_IDENTITY_FIELDS`, so every attempt of a job shares one resume
+    signal handling are all
+    :data:`~repro.obs.tracer.NON_IDENTITY_FIELDS`, so every attempt of a job shares one resume
     digest and a retried trajectory is the submitted trajectory.
     """
     import dataclasses

@@ -367,7 +367,6 @@ class IncrementalTiming:
         boundary_in = self.boundary_in
         save_boundary = delta.save_boundary
         for cell_index in sorted(boundary_pending):
-            save_boundary(cell_index, boundary_in[cell_index])
             best = 0.0
             for net_index, driver, position in cell_inputs[cell_index]:
                 delays = cache[net_index]
@@ -376,7 +375,13 @@ class IncrementalTiming:
                 value = arrival[driver] + delays[position]
                 if value > best:
                     best = value
-            boundary_in[cell_index] = best
+            # Exact comparison: an unchanged arrival needs no undo entry,
+            # and skipping the write leaves the state bit-identical; any
+            # change, however small, is saved so restore stays exact.
+            # repro-lint: disable=float-equality
+            if best != boundary_in[cell_index]:
+                save_boundary(cell_index, boundary_in[cell_index])
+                boundary_in[cell_index] = best
         mx = self.metrics
         if mx is not None:
             mx.count("timing.updates")

@@ -144,8 +144,8 @@ class TestCache:
         # update_nets skips a touched net whose cached delays are at
         # the net's current route version.  A twin analyzer forced to
         # recompute those nets must reach the same arrivals and record
-        # the same arrival deltas.  Its delta may hold extra boundary
-        # and cache entries, but only ones that equal the current
+        # the same arrival and boundary deltas.  Its delta may hold
+        # extra cache entries, but only ones that equal the current
         # values, so undoing either delta gives the same state.
         _, state = routed_tiny
         skipping = IncrementalTiming(state, tech)
@@ -170,17 +170,14 @@ class TestCache:
         assert set(recomputed.delay_cache) - set(skipped.delay_cache) == set(
             current
         )
-        for ours, theirs, live in (
-            (skipped.boundary_in, recomputed.boundary_in,
-             forced.boundary_in),
-            (skipped.delay_cache, recomputed.delay_cache,
-             forced._delay_cache),
-        ):
-            for key, value in theirs.items():
-                if key in ours:
-                    assert ours[key] == value
-                else:
-                    assert value == live[key]
+        assert skipped.boundary_in == recomputed.boundary_in
+        for cell_index, saved in skipped.boundary_in.items():
+            assert saved != skipping.boundary_in[cell_index]
+        for key, value in recomputed.delay_cache.items():
+            if key in skipped.delay_cache:
+                assert skipped.delay_cache[key] == value
+            else:
+                assert value == forced._delay_cache[key]
         skipping.restore(skipped)
         forced.restore(recomputed)
         assert skipping.arrival == forced.arrival

@@ -18,6 +18,7 @@ Five layers:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -57,6 +58,24 @@ from repro.resilience.faults import corrupt_file, truncate_file
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "ledger_fixture.jsonl"
 GOLDEN = DATA / "ledger_report_golden.html"
+
+
+#: Fields older ledger records carry that new records do not write:
+#: the move-core label (gone with the object-graph core; the committed
+#: smoke baseline carries it) and the profile block in the deleted
+#: profiling module's shape (new traced records carry only per-section
+#: seconds and calls).
+RETIRED_RECORD_FIELDS = {
+    "core": "array",
+    "profile": {
+        "wall_time_s": 0.72, "moves_attempted": 1710,
+        "moves_accepted": 1515, "moves_per_sec": 2361.6,
+        "mean_nets_journaled": 3.1,
+        "section_s": {"ripup": 0.05, "repair": 0.31, "timing": 0.18},
+        "section_calls": {"ripup": 1600, "repair": 1600, "timing": 1600},
+        "counters": {"moves": 1710, "moves_zero_net": 110},
+    },
+}
 
 
 def basic_record(**overrides) -> dict:
@@ -253,14 +272,25 @@ class TestSliceAnalytics:
         assert any("baseline only" in row for row in rows
                    for row in [row])
 
-    def test_records_with_retired_core_field_read_and_regress(self):
-        # Records written before the move core was unified carry a
-        # ``core`` field; new records do not.  Old ledgers still load,
-        # keep their identity digests, slice, and gate new runs.
-        path = (Path(__file__).parents[1] / "benchmarks" / "baselines"
-                / "ledger_smoke.jsonl")
+    def test_records_with_retired_core_field_read_and_regress(
+        self, tmp_path
+    ):
+        # Old ledgers carry fields new records no longer write (every
+        # entry of RETIRED_RECORD_FIELDS; the committed smoke baseline
+        # already carries ``core``).  They still load, keep their
+        # identity digests, slice, and gate new runs.
+        committed = (Path(__file__).parents[1] / "benchmarks"
+                     / "baselines" / "ledger_smoke.jsonl")
+        path = tmp_path / "old.jsonl"
+        for record in read_ledger(committed).records:
+            for field, value in RETIRED_RECORD_FIELDS.items():
+                record.setdefault(field, value)
+            append_record(path, record)
         baseline = read_ledger(path).records
-        assert baseline and all("core" in record for record in baseline)
+        assert baseline and all(
+            record[field] == value for record in baseline
+            for field, value in RETIRED_RECORD_FIELDS.items()
+        )
         for record in baseline:
             assert record["record_digest"] == record_identity(record)
         assert select(baseline, design="smoke", flow="bench") == baseline
@@ -270,7 +300,7 @@ class TestSliceAnalytics:
             fully_routed=True,
             normalized_score=baseline[0]["normalized_score"],
         )
-        assert "core" not in candidate
+        assert not set(RETIRED_RECORD_FIELDS) & set(candidate)
         rows, failures = regress_slices(baseline, [candidate])
         assert failures == []
         assert rows[0][0] == "bench/smoke" and rows[0][-1] == "ok"
@@ -327,6 +357,18 @@ class TestFlowIntegration:
         assert "core" not in record
         assert record["artifacts"] == {"trace": "x.jsonl"}
         assert record["tag"] == "t"
+
+    def test_traced_record_carries_section_profile(self, flow_result):
+        # The traced run's section timings land in the volatile
+        # ``profile`` block, outside the record's identity.
+        record = record_from_result(flow_result)
+        profile = record["profile"]
+        for name in ("ripup", "repair", "timing", "cost"):
+            assert profile["section_s"][name] > 0
+            assert profile["section_calls"][name] > 0
+        assert record["record_digest"] == record_identity(
+            {k: v for k, v in record.items() if k != "profile"}
+        )
 
     def test_identical_runs_collide_on_identity(self, flow_result):
         netlist = tiny(seed=9, num_cells=24, depth=3)
@@ -446,6 +488,23 @@ class TestRunsCli:
 # The HTML observatory: golden byte-identity
 # ----------------------------------------------------------------------
 class TestReport:
+    def test_committed_fixtures_match_their_generator(self, tmp_path):
+        # Regenerate every fixture into a scratch directory: generated
+        # test data that drifted from its generator would pin stale
+        # behaviour.
+        spec = importlib.util.spec_from_file_location(
+            "make_ledger_fixture", DATA / "make_ledger_fixture.py"
+        )
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        generator.main(tmp_path)
+        for name in generator.OUTPUTS:
+            assert (tmp_path / name).read_bytes() == \
+                (DATA / name).read_bytes(), (
+                f"{name} is stale; regenerate with PYTHONPATH=src "
+                f"python tests/data/make_ledger_fixture.py"
+            )
+
     def test_report_matches_committed_golden(self):
         ledger = read_ledger(FIXTURE)
         from repro.obs.cli import _load_run_traces

@@ -41,6 +41,7 @@ from repro.obs import (
     validate_events,
 )
 from repro.obs.cli import main as trace_main
+from repro.obs.metrics import format_timings
 
 from conftest import architecture_for
 
@@ -106,6 +107,46 @@ class TestMetricsRegistry:
     def test_maybe_metrics(self):
         assert maybe_metrics(False) is None
         assert isinstance(maybe_metrics(True), MetricsRegistry)
+
+    def test_add_time_accumulates_and_counts_calls(self):
+        mx = MetricsRegistry()
+        mx.add_time("repair", 0.5)
+        mx.add_time("repair", 0.25)
+        mx.add_time("timing", 1.0)
+        assert mx.section_s["repair"] == pytest.approx(0.75)
+        assert mx.section_calls == {"repair": 2, "timing": 1}
+
+    def test_timings_is_a_copy(self):
+        mx = MetricsRegistry()
+        mx.add_time("repair", 2.0)
+        timings = mx.timings()
+        mx.add_time("repair", 1.0)  # must not leak into the copy
+        assert timings == {"section_s": {"repair": 2.0},
+                           "section_calls": {"repair": 1}}
+
+    def test_timings_are_volatile_and_json_ready(self):
+        # Section seconds are wall-clock telemetry: they must never
+        # reach a snapshot, or trace events would differ between hosts.
+        mx = MetricsRegistry()
+        mx.count("moves")
+        before = mx.snapshot()
+        mx.add_time("ripup", 0.125)
+        assert mx.snapshot() == before
+        assert json.loads(json.dumps(mx.timings())) == mx.timings()
+
+    def test_format_timings_lists_sections_slowest_first(self):
+        timings = {
+            "section_s": {"ripup": 0.1, "repair": 0.5, "timing": 0.3},
+            "section_calls": {"ripup": 4, "repair": 4, "timing": 4},
+        }
+        text = format_timings(timings, wall_time_s=1.0)
+        rows = [line.split(":")[0].strip() for line in text.splitlines()[1:]]
+        assert rows == ["repair", "timing", "ripup", "other"]
+        assert "50.0%" in text and "over 4 calls" in text
+
+    def test_format_timings_zero_wall_time_is_safe(self):
+        text = format_timings({"section_s": {}, "section_calls": {}}, 0.0)
+        assert "other" in text
 
 
 class TestHistogram:
@@ -255,16 +296,14 @@ class TestTracer:
 
     def test_instrumentation_from_config(self):
         inst = Instrumentation.from_config(
-            micro_config(trace=True, profile=True, sanitize=True)
+            micro_config(trace=True, sanitize=True)
         )
         assert isinstance(inst.tracer, Tracer)
-        assert inst.profiler is not None
         assert isinstance(inst.sanitizer, MoveSanitizer)
         assert inst.metrics is inst.tracer.metrics
 
     def test_instrumentation_all_off_by_default(self):
         inst = Instrumentation.from_config(micro_config())
-        assert inst.profiler is None
         assert inst.tracer is None
         assert inst.sanitizer is None
         assert inst.metrics is None
@@ -398,7 +437,8 @@ class TestTracedAnneal:
 
     def test_all_three_instruments_compose_without_perturbing(self):
         _, plain = run_anneal()
-        _, instrumented = run_anneal(trace=True, profile=True, sanitize=True)
+        _, instrumented = run_anneal(trace=True, sanitize=True,
+                                     snapshot_every=2)
         assert comparable_metrics(plain) == comparable_metrics(instrumented)
         assert instrumented.trace is not None
         assert instrumented.profile is not None

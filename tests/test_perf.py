@@ -1,13 +1,14 @@
-"""Tests for the repro.perf profiling subsystem and the hot-loop fast path.
+"""Tests for the move-transaction section timers and the hot-loop fast path.
 
-Three layers:
+Two layers:
 
-1. unit tests of :class:`Profiler` / :class:`RunProfile` arithmetic;
-2. integration: a profiled anneal attaches a populated profile to its
-   result without perturbing the layout;
-3. the golden-determinism guard — the whole point of the fast path is
+1. integration: a traced anneal attaches populated per-section timings
+   (``AnnealResult.profile``) to its result without perturbing the
+   layout or the trace, and the registry the move core is handed
+   (``LayoutContext.metrics``) carries its per-move counters;
+2. the golden-determinism guard — the whole point of the fast path is
    that it is *invisible*: identical seeds must give bit-identical
-   metrics with the fast path on or off, and with profiling on or off.
+   metrics with the fast path on or off, and with the timers on or off.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core import AnnealerConfig, ScheduleConfig, SimultaneousAnnealer
 from repro.core.cost import CostTerms, TermAccumulator
 from repro.lint.runtime import layout_digest
 from repro.netlist import tiny
-from repro.perf import HOT_SECTIONS, Profiler, RunProfile, maybe_profiler
+from repro.obs.metrics import MetricsRegistry, format_timings
 
 from conftest import architecture_for
 
@@ -53,82 +54,6 @@ def comparable_metrics(result):
     return {k: v for k, v in result.metrics().items() if k != "wall_time_s"}
 
 
-class TestProfiler:
-    def test_counters_accumulate(self):
-        prof = Profiler()
-        prof.count("moves")
-        prof.count("moves", 4)
-        prof.count("nets_ripped", 2)
-        assert prof.counters == {"moves": 5, "nets_ripped": 2}
-
-    def test_add_time_accumulates_and_counts_calls(self):
-        prof = Profiler()
-        prof.add_time("repair", 0.5)
-        prof.add_time("repair", 0.25)
-        prof.add_time("timing", 1.0)
-        assert prof.section_s["repair"] == pytest.approx(0.75)
-        assert prof.section_calls == {"repair": 2, "timing": 1}
-
-    def test_section_context_manager_times(self):
-        prof = Profiler()
-        with prof.section("cost"):
-            pass
-        assert prof.section_calls["cost"] == 1
-        assert prof.section_s["cost"] >= 0.0
-
-    def test_maybe_profiler(self):
-        assert maybe_profiler(False) is None
-        assert isinstance(maybe_profiler(True), Profiler)
-
-    def test_finish_freezes_snapshot(self):
-        prof = Profiler()
-        prof.add_time("repair", 2.0)
-        prof.count("moves", 10)
-        profile = prof.finish(wall_time_s=4.0, moves_attempted=10,
-                              moves_accepted=7)
-        prof.count("moves", 90)  # must not leak into the frozen profile
-        assert profile.counters["moves"] == 10
-        assert profile.moves_per_sec == pytest.approx(2.5)
-        assert profile.section_fraction("repair") == pytest.approx(0.5)
-        assert profile.section_fraction("absent") == 0.0
-
-
-class TestRunProfile:
-    def test_zero_wall_time_is_safe(self):
-        profile = RunProfile(wall_time_s=0.0, moves_attempted=0,
-                             moves_accepted=0)
-        assert profile.moves_per_sec == 0.0
-        assert profile.mean_nets_journaled == 0.0
-        assert profile.section_fraction("repair") == 0.0
-
-    def test_mean_nets_journaled(self):
-        profile = RunProfile(wall_time_s=1.0, moves_attempted=4,
-                             moves_accepted=2,
-                             counters={"nets_journaled": 10})
-        assert profile.mean_nets_journaled == pytest.approx(2.5)
-
-    def test_as_dict_round_trips_to_json_types(self):
-        profile = RunProfile(wall_time_s=2.0, moves_attempted=8,
-                             moves_accepted=3,
-                             section_s={"repair": 1.0},
-                             section_calls={"repair": 8},
-                             counters={"moves": 8})
-        data = profile.as_dict()
-        assert data["moves_per_sec"] == pytest.approx(4.0)
-        assert data["section_s"] == {"repair": 1.0}
-        assert data["counters"] == {"moves": 8}
-
-    def test_format_lists_hot_sections_in_order(self):
-        profile = RunProfile(
-            wall_time_s=1.0, moves_attempted=1, moves_accepted=1,
-            section_s={name: 0.1 for name in HOT_SECTIONS},
-            section_calls={name: 1 for name in HOT_SECTIONS},
-        )
-        text = profile.format()
-        positions = [text.index(name) for name in HOT_SECTIONS]
-        assert positions == sorted(positions)
-
-
 class TestMeanTermsExactness:
     def test_mean_terms_keeps_fractional_unrouted_counts(self):
         # Regression: int() truncation of the unrouted means silently
@@ -145,7 +70,7 @@ class TestMeanTermsExactness:
 
 @pytest.fixture(scope="module")
 def profiled_outcome():
-    return run_anneal(profile=True)
+    return run_anneal(trace=True)
 
 
 class TestProfiledAnneal:
@@ -153,12 +78,14 @@ class TestProfiledAnneal:
         _, result = profiled_outcome
         profile = result.profile
         assert profile is not None
-        assert profile.moves_attempted == result.moves_attempted
-        assert profile.moves_accepted == result.moves_accepted
-        assert profile.counters["moves"] == result.moves_attempted
         for name in ("ripup", "repair", "timing", "cost"):
-            assert profile.section_calls.get(name, 0) > 0
-        assert profile.moves_per_sec > 0
+            assert profile["section_s"][name] > 0
+            assert profile["section_calls"][name] > 0
+        # Every attempted move is costed, so the cost section counts
+        # the attempts; rip-up skips the moves that touch no net.
+        assert profile["section_calls"]["cost"] == result.moves_attempted
+        assert (profile["section_calls"]["ripup"]
+                <= result.moves_attempted)
 
     def test_profile_off_by_default(self):
         _, result = run_anneal()
@@ -166,13 +93,41 @@ class TestProfiledAnneal:
 
     def test_format_is_printable(self, profiled_outcome):
         _, result = profiled_outcome
-        text = result.profile.format()
-        assert "moves/s" in text
+        text = format_timings(result.profile, result.wall_time_s)
         assert "repair" in text
+        assert "other" in text
+
+    def test_trace_carries_no_timer(self, profiled_outcome):
+        _, result = profiled_outcome
+        text = json.dumps(result.trace.events)
+        for name in ("section_s", "section_calls"):
+            assert name not in text
+
+
+class TestProfiler:
+    """The move core's profile is the trace registry it is handed."""
+
+    def test_counters_accumulate(self, profiled_outcome):
+        annealer, result = profiled_outcome
+        mx = annealer.ctx.metrics
+        timed = mx.section_calls["timing"]
+        # One timing update and one journal sample per move that
+        # touched a net; the moves that touched none are counted apart.
+        assert mx.counters["timing.updates"] == timed
+        assert mx.histograms["transaction.nets_journaled"].count == timed
+        assert (mx.section_calls["ripup"]
+                + mx.counters.get("transaction.zero_net", 0)
+                == result.moves_attempted)
+
+    def test_maybe_profiler(self, profiled_outcome):
+        plain, _ = run_anneal()
+        assert plain.ctx.metrics is None
+        traced, _ = profiled_outcome
+        assert isinstance(traced.ctx.metrics, MetricsRegistry)
 
 
 class TestGoldenDeterminism:
-    """The fast path and the profiler must be invisible to results."""
+    """The fast path and the section timers must be invisible to results."""
 
     def test_fast_path_matches_exhaustive_path(self):
         ann_fast, fast = run_anneal(fast_path=True)
@@ -182,8 +137,9 @@ class TestGoldenDeterminism:
         assert ann_slow.audit() == []
 
     def test_profile_does_not_perturb_results(self):
-        _, plain = run_anneal(profile=False)
-        _, profiled = run_anneal(profile=True)
+        _, plain = run_anneal(trace=False)
+        _, profiled = run_anneal(trace=True)
+        assert profiled.profile is not None
         assert comparable_metrics(plain) == comparable_metrics(profiled)
 
     def test_fast_path_routing_state_consistent(self):

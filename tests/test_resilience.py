@@ -36,9 +36,12 @@ from repro.resilience import (
     truncate_file,
     write_checkpoint,
 )
+from repro.obs.ledger import FAMILY_EXCLUDE
+from repro.obs.tracer import NON_IDENTITY_FIELDS
 from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
+    RETIRED_CONFIG_FIELDS,
     config_from_payload,
 )
 
@@ -178,13 +181,23 @@ class TestCheckpointFormat:
         base = micro_config()
         relaxed = dataclasses.replace(
             base, max_stages=7, checkpoint_every=2, checkpoint_path="x.ckpt",
-            trace=True, profile=True, handle_signals=True,
+            trace=True, handle_signals=True,
         )
         changed = dataclasses.replace(base, attempts_per_cell=5)
         reseeded = dataclasses.replace(base, seed=99)
         assert resume_digest(base) == resume_digest(relaxed)
         assert resume_digest(base) != resume_digest(changed)
         assert resume_digest(base) != resume_digest(reseeded)
+
+    def test_identity_lists_name_live_config_fields(self):
+        # One list of run options serves the checkpoint and the ledger;
+        # a stale entry (a field since deleted) would silently exclude
+        # nothing.  Retired fields must really be gone.
+        fields = {f.name for f in dataclasses.fields(AnnealerConfig)}
+        assert set(NON_IDENTITY_FIELDS) <= fields
+        assert len(set(NON_IDENTITY_FIELDS)) == len(NON_IDENTITY_FIELDS)
+        assert FAMILY_EXCLUDE == ("seed",) + NON_IDENTITY_FIELDS
+        assert not set(RETIRED_CONFIG_FIELDS) & fields
 
 
 class TestResumeValidation:
@@ -268,10 +281,11 @@ class TestResumeDeterminism:
     def test_checkpoint_with_retired_core_switch_resumes(
         self, tmp_path, retired_value
     ):
-        # Checkpoints written while the config still had the move-core
-        # switch carry it in their config record, with either value.
-        # The switch never shaped the trajectory, so such a checkpoint
-        # must resume from its own config record, bit-identically.
+        # Checkpoints written while the config still had a since
+        # retired switch (the move core, profiling) carry it in their
+        # config record, with either value.  No retired switch shaped
+        # the trajectory, so such a checkpoint must resume from its own
+        # config record, bit-identically.
         _, reference = run_anneal(micro_config())
         path = tmp_path / "ck.ckpt"
         _, partial = run_anneal(micro_config(
@@ -279,10 +293,13 @@ class TestResumeDeterminism:
         ))
         assert partial.interrupted == "stage budget (3)"
         payload = read_checkpoint(path)
-        assert "array_core" not in payload["config"]
-        payload["config"]["array_core"] = retired_value
+        for name in RETIRED_CONFIG_FIELDS:
+            assert name not in payload["config"]
+            payload["config"][name] = retired_value
         write_checkpoint(payload, path)  # re-seal the envelope digest
-        assert read_checkpoint(path)["config"]["array_core"] is retired_value
+        sealed = read_checkpoint(path)["config"]
+        assert all(sealed[name] is retired_value
+                   for name in RETIRED_CONFIG_FIELDS)
         config = config_from_payload(read_checkpoint(path))
         assert config == micro_config(
             checkpoint_path=str(path), checkpoint_every=1, max_stages=3,
